@@ -64,6 +64,7 @@ benches=(
     micro_access
     micro_miss
     micro_parallel
+    micro_fabric
     microbench
 )
 

@@ -12,9 +12,11 @@
 # bench, run serially and only in the unsanitized tree), then the
 # strict perf-regression gate (3 repeats of each baselined bench,
 # compared bit-for-bit and median-throughput against baselines/ via
-# bench_compare; DESIGN.md §14), then re-runs the sweep and
-# supervisor suites with CMPMEM_ISOLATE=1 (every job in a forked
-# sandbox, plus the kill-then-resume gate; DESIGN.md §16), then
+# bench_compare; DESIGN.md §14), then the host-performance
+# benchmark's scale-0 smoke test (hostbench/test_hostbench.py), then
+# re-runs the sweep and supervisor suites with CMPMEM_ISOLATE=1
+# (every job in a forked sandbox, plus the kill-then-resume gate;
+# DESIGN.md §16), then
 # builds and runs everything again under AddressSanitizer + UBSan
 # (CMPMEM_SANITIZE=ON), runs the thread-safety subset (the parallel
 # intra-run engine and the sweep executor) under ThreadSanitizer
@@ -38,7 +40,7 @@ cd "$(dirname "$0")/.."
 
 # The benches with committed baselines; keep in step with the
 # cmpmem_gate() entries in bench/CMakeLists.txt and DESIGN.md §14.
-gate_benches="micro_events micro_access micro_miss micro_parallel table3 policy_space fig2_scaling fig3_traffic"
+gate_benches="micro_events micro_access micro_miss micro_parallel micro_fabric table3 policy_space fig2_scaling fig3_traffic"
 
 full=0
 update=0
@@ -120,6 +122,10 @@ if [[ "${full}" -eq 1 ]]; then
         build/bench/bench_compare --host-mode=strict --annotate \
             "baselines/BENCH_${bench}.json" "${fresh[@]}"
     done
+    echo "==> hostbench smoke test (scale 0)"
+    # Builds the host-performance benchmark into .bench_build/ and
+    # checks its result line, traced attribution and failure paths.
+    python3 hostbench/test_hostbench.py
     echo "==> isolation pass (Release, CMPMEM_ISOLATE=1)"
     # Re-run the sweep-engine and supervisor suites with every job in
     # a forked sandbox: the §16 contract says sandboxed execution is

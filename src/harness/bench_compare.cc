@@ -270,15 +270,15 @@ class Comparer
     }
 
     /**
-     * Median fresh throughput vs baseline. Higher is better for both
-     * guarded rates; a job the baseline recorded as idle (rate 0) is
+     * Median fresh throughput vs baseline. Higher is better for every
+     * guarded rate; a job the baseline recorded as idle (rate 0) is
      * not guarded.
      */
     void
     compareHost(const std::string &id, const JsonValue &bjob)
     {
         for (const char *rate : {"events_per_sec", "accesses_per_sec",
-                                 "misses_per_sec"}) {
+                                 "misses_per_sec", "acquires_per_sec"}) {
             double b = numberField(bjob, rate);
             if (b <= 0)
                 continue;

@@ -13,11 +13,12 @@
  *    --update-baselines).
  *
  *  - Host-time-derived fields ("host_seconds", "events_per_sec",
- *    "accesses_per_sec", plus the sweep-level wall/serial/speedup
- *    aggregates) are excluded from identity — they vary run to run —
- *    but throughput is still guarded: the gate takes the median over
- *    the fresh repeats it is given and flags any job whose
- *    events/sec or accesses/sec dropped more than the tolerance
+ *    "accesses_per_sec", "misses_per_sec", "acquires_per_sec",
+ *    plus the sweep-level wall/serial/speedup aggregates) are
+ *    excluded from identity — they vary run to run — but throughput
+ *    is still guarded: the gate takes the median over the fresh
+ *    repeats it is given and flags any job whose per-second rate
+ *    dropped more than the tolerance
  *    (default 10%) below baseline. Feeding 3+ repeats is the noise
  *    guard; a single outlier cannot move the median.
  *

@@ -68,6 +68,19 @@ struct RunResult
                                 stats.dmaAccesses);
         return hostSeconds > 0 ? m / hostSeconds : 0;
     }
+
+    /**
+     * Resource-calendar host throughput: acquires a standalone
+     * calendar run (RunStats::resource) made per host CPU second —
+     * the figure of merit for DESIGN.md §19. 0 for system runs.
+     */
+    double
+    acquiresPerSec() const
+    {
+        return hostSeconds > 0
+                   ? double(stats.resource.acquires) / hostSeconds
+                   : 0;
+    }
 };
 
 /**

@@ -135,6 +135,11 @@ visitRunStatsScalars(RS &s, F &&f)
     f("peak_pending_events", s.peakPendingEvents);
     f("calendar_overflows", s.calendarOverflows);
     f("calendar_bucket_shift", s.calendarBucketShift);
+    f("resource_acquires", s.resource.acquires);
+    f("resource_tail_grants", s.resource.tailGrants);
+    f("resource_interval_sum", s.resource.intervalSum);
+    f("resource_peak_intervals", s.resource.peakIntervals);
+    f("resource_grant_digest", s.resource.grantDigest);
 }
 
 template <typename EB, typename F>

@@ -527,6 +527,8 @@ SweepResult::toJson() const
                jnum(jr.run.accessesPerSec()) + ",\n";
         out += "      \"misses_per_sec\": " + jnum(jr.run.missesPerSec()) +
                ",\n";
+        out += "      \"acquires_per_sec\": " +
+               jnum(jr.run.acquiresPerSec()) + ",\n";
         out += "      \"miss_path_allocs\": " +
                fmt("%llu",
                    (unsigned long long)jr.run.stats.missPathAllocs) +

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <iterator>
 #include <utility>
 
 namespace cmpmem
@@ -18,8 +20,15 @@ Resource::prune(Tick earliest)
     if (earliest < pruneHorizon)
         return;
     Tick cutoff = earliest - pruneHorizon;
-    while (!busyList.empty() && busyList.front().end < cutoff)
-        busyList.pop_front();
+    while (head < busyList.size() && busyList[head].end < cutoff)
+        ++head;
+    // Compact lazily: only once the dead prefix outweighs the live
+    // entries, so each interval is moved O(1) times on average.
+    if (head > compactMin && 2 * head > busyList.size()) {
+        busyList.erase(busyList.begin(),
+                       busyList.begin() + std::ptrdiff_t(head));
+        head = 0;
+    }
 }
 
 Tick
@@ -30,37 +39,40 @@ Resource::acquire(Tick earliest, Tick occupancy)
     prune(earliest);
 
     if (occupancy == 0)
-        return std::max(earliest, Tick(0));
+        return earliest;
 
     // First-fit gap search: transactions may reserve future slots
     // (e.g. a response beat) without blocking the idle time before
-    // them.
+    // them. Live ends increase strictly, so the intervals ending at
+    // or before @p earliest are a prefix the search skips outright.
+    const auto live = busyList.begin() + std::ptrdiff_t(head);
+    auto pos = std::partition_point(
+        live, busyList.end(),
+        [earliest](const Interval &iv) { return iv.end <= earliest; });
     Tick start = earliest;
-    auto pos = busyList.begin();
     for (; pos != busyList.end(); ++pos) {
-        if (pos->end <= start)
-            continue;
         if (pos->start >= start + occupancy)
             break; // gap before this interval fits
         start = pos->end;
     }
     waited += start - earliest;
 
-    // Insert (start, start+occupancy) before pos, merging neighbours.
-    Interval iv{start, start + occupancy};
-    auto it = busyList.insert(pos, iv);
-    if (it != busyList.begin()) {
-        auto prev = std::prev(it);
-        if (prev->end == it->start) {
-            prev->end = it->end;
-            it = busyList.erase(it);
-            it = std::prev(it);
-        }
-    }
-    auto next = std::next(it);
-    if (next != busyList.end() && it->end == next->start) {
-        it->end = next->end;
-        busyList.erase(next);
+    // Book [start, end) before pos. Live intervals never touch, so a
+    // reservation that abuts a neighbour extends it in place (and
+    // fuses both when it fills the gap exactly); only an isolated
+    // reservation shifts the tail of the array.
+    const Tick end = start + occupancy;
+    const bool joinsPrev = pos != live && std::prev(pos)->end == start;
+    const bool joinsNext = pos != busyList.end() && pos->start == end;
+    if (joinsPrev && joinsNext) {
+        std::prev(pos)->end = pos->end;
+        busyList.erase(pos);
+    } else if (joinsPrev) {
+        std::prev(pos)->end = end;
+    } else if (joinsNext) {
+        pos->start = start;
+    } else {
+        busyList.insert(pos, Interval{start, end});
     }
     return start;
 }
@@ -68,13 +80,14 @@ Resource::acquire(Tick earliest, Tick occupancy)
 Tick
 Resource::nextFree() const
 {
-    return busyList.empty() ? 0 : busyList.back().end;
+    return intervals() == 0 ? 0 : busyList.back().end;
 }
 
 void
 Resource::reset()
 {
     busyList.clear();
+    head = 0;
     busy = 0;
     waited = 0;
     count = 0;

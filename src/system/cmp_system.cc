@@ -419,6 +419,14 @@ RunStats::toStatSet() const
     s.set("sim.peak_pending_events", double(peakPendingEvents));
     s.set("sim.calendar_overflows", double(calendarOverflows));
     s.set("sim.calendar_bucket_shift", double(calendarBucketShift));
+    if (resource.acquires > 0) {
+        s.set("resource.acquires", double(resource.acquires));
+        s.set("resource.tail_grants", double(resource.tailGrants));
+        s.set("resource.mean_intervals",
+              double(resource.intervalSum) / double(resource.acquires));
+        s.set("resource.peak_intervals", double(resource.peakIntervals));
+        s.set("resource.grant_digest", double(resource.grantDigest));
+    }
     return s;
 }
 

@@ -30,6 +30,20 @@ namespace cmpmem
 
 class ParallelEngine;
 
+/**
+ * Counters of a standalone resource-calendar run (bench/micro_fabric,
+ * DESIGN.md §19), which drives a Resource with a request stream
+ * directly instead of through a system. All zero for system runs.
+ */
+struct ResourceStreamStats
+{
+    std::uint64_t acquires = 0;
+    std::uint64_t tailGrants = 0;  ///< granted at or past nextFree()
+    std::uint64_t intervalSum = 0; ///< live intervals before each acquire
+    std::uint64_t peakIntervals = 0;
+    std::uint64_t grantDigest = 0; ///< 53-bit FNV-1a over granted starts
+};
+
 /** Everything measured in one simulation run. */
 struct RunStats
 {
@@ -112,6 +126,12 @@ struct RunStats
      * (never enters toStatSet()); 0 in steady state.
      */
     std::uint64_t missPathAllocs = 0;
+
+    /**
+     * Resource-calendar bench counters. toStatSet() emits them only
+     * for a run that made acquires, so system digests are unchanged.
+     */
+    ResourceStreamStats resource;
 
     double execSeconds() const
     {

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -659,6 +661,179 @@ TEST(Resource, SerializesOverlappingAcquisitions)
     EXPECT_EQ(r.busyTicks(), 150u);
     EXPECT_EQ(r.waitTicks(), 50u);
     EXPECT_EQ(r.acquisitions(), 3u);
+}
+
+/**
+ * The calendar as it was first written: a std::deque of busy
+ * intervals scanned linearly from the oldest entry, with the 10 us
+ * prune horizon. Resource's flat array must grant exactly what this
+ * grants. It also counts which booking case each grant took, so the
+ * test can prove its streams reach every case.
+ */
+class ReferenceCalendar
+{
+  public:
+    struct Cases
+    {
+        std::uint64_t isolated = 0;
+        std::uint64_t joinPrev = 0;
+        std::uint64_t joinNext = 0;
+        std::uint64_t joinBoth = 0;
+        std::uint64_t zeroOccupancy = 0;
+        std::uint64_t belowWatermark = 0; ///< earliest < pruned end
+        std::uint64_t pruned = 0;
+        std::size_t peakIntervals = 0;
+    };
+
+    Tick
+    acquire(Tick earliest, Tick occupancy)
+    {
+        ++count;
+        busy += occupancy;
+        prune(earliest);
+        if (earliest < prunedEnd)
+            ++cases.belowWatermark;
+        if (occupancy == 0) {
+            ++cases.zeroOccupancy;
+            return earliest;
+        }
+        Tick start = earliest;
+        auto pos = list.begin();
+        for (; pos != list.end(); ++pos) {
+            if (pos->end <= start)
+                continue;
+            if (pos->start >= start + occupancy)
+                break;
+            start = pos->end;
+        }
+        waited += start - earliest;
+
+        bool prev_touch = false;
+        auto it = list.insert(pos, {start, start + occupancy});
+        if (it != list.begin()) {
+            auto prev = std::prev(it);
+            if (prev->end == it->start) {
+                prev_touch = true;
+                prev->end = it->end;
+                it = list.erase(it);
+                it = std::prev(it);
+            }
+        }
+        bool next_touch = false;
+        auto next = std::next(it);
+        if (next != list.end() && it->end == next->start) {
+            next_touch = true;
+            it->end = next->end;
+            list.erase(next);
+        }
+        if (prev_touch && next_touch)
+            ++cases.joinBoth;
+        else if (prev_touch)
+            ++cases.joinPrev;
+        else if (next_touch)
+            ++cases.joinNext;
+        else
+            ++cases.isolated;
+        cases.peakIntervals = std::max(cases.peakIntervals, list.size());
+        return start;
+    }
+
+    Tick nextFree() const { return list.empty() ? 0 : list.back().end; }
+    std::size_t intervals() const { return list.size(); }
+
+    void
+    reset()
+    {
+        list.clear();
+        busy = waited = prunedEnd = 0;
+        count = 0;
+    }
+
+    Tick busy = 0;
+    Tick waited = 0;
+    std::uint64_t count = 0;
+    Cases cases;
+
+  private:
+    struct Interval
+    {
+        Tick start;
+        Tick end;
+    };
+
+    void
+    prune(Tick earliest)
+    {
+        constexpr Tick horizon = 10 * ticksPerUs;
+        if (earliest < horizon)
+            return;
+        while (!list.empty() && list.front().end < earliest - horizon) {
+            prunedEnd = std::max(prunedEnd, list.front().end);
+            list.pop_front();
+            ++cases.pruned;
+        }
+    }
+
+    std::deque<Interval> list;
+    Tick prunedEnd = 0;
+};
+
+TEST(Resource, MatchesReferenceCalendarOnRandomStreams)
+{
+    // Times sit on a 1 ns grid so exact abutments (merges with the
+    // previous, the next, or both neighbours) are common. Requests
+    // arrive ~20 ns apart, so the 10 us horizon retains hundreds of
+    // intervals.
+    constexpr Tick g = ticksPerNs;
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        Rng rng(seed);
+        Resource r("r");
+        ReferenceCalendar ref;
+        Tick now = 0;
+        for (int i = 0; i < 60000; ++i) {
+            now += g * rng.nextBelow(41);
+            if (rng.nextBelow(20000) == 0)
+                now += 50 * ticksPerUs; // idle: everything prunes
+            const std::uint64_t kind = rng.nextBelow(100);
+            Tick earliest;
+            if (kind < 5 && now > 25 * ticksPerUs)
+                earliest = now - 10 * ticksPerUs -
+                           g * rng.nextBelow(15000); // stale
+            else if (kind < 25)
+                earliest = now + g * rng.nextBelow(3000); // future
+            else
+                earliest = now - std::min(now, g * rng.nextBelow(200));
+            const Tick occupancy =
+                rng.nextBelow(20) == 0 ? 0 : g * (1 + rng.nextBelow(16));
+
+            ASSERT_EQ(r.acquire(earliest, occupancy),
+                      ref.acquire(earliest, occupancy))
+                << "request " << i;
+            ASSERT_EQ(r.busyTicks(), ref.busy);
+            ASSERT_EQ(r.waitTicks(), ref.waited);
+            ASSERT_EQ(r.acquisitions(), ref.count);
+            ASSERT_EQ(r.nextFree(), ref.nextFree());
+            ASSERT_EQ(r.intervals(), ref.intervals());
+
+            if (i % 25000 == 24999) {
+                r.reset();
+                ref.reset();
+                EXPECT_EQ(r.nextFree(), 0u);
+                EXPECT_EQ(r.intervals(), 0u);
+            }
+        }
+        const auto &c = ref.cases;
+        EXPECT_GT(c.isolated, 0u);
+        EXPECT_GT(c.joinPrev, 0u);
+        EXPECT_GT(c.joinNext, 0u);
+        EXPECT_GT(c.joinBoth, 0u);
+        EXPECT_GT(c.zeroOccupancy, 0u);
+        EXPECT_GT(c.belowWatermark, 0u);
+        EXPECT_GT(c.pruned, 1000u);
+        // Well past the array's compaction threshold.
+        EXPECT_GT(c.peakIntervals, 256u);
+    }
 }
 
 TEST(ChannelResource, OccupancyScalesWithBytes)

@@ -142,6 +142,36 @@ TEST(SupervisorCodec, RoundTripsJobResultBitExactly)
     EXPECT_EQ(out.run.energy.l2Mj, in.run.energy.l2Mj);
 }
 
+TEST(SupervisorCodec, RoundTripsResourceStreamStats)
+{
+    // The resource-calendar bench counters ride the same codec, and
+    // enter toStatSet() only for a run that made acquires, so system
+    // digests never see them.
+    JobResult in;
+    in.job.id = "fabric";
+    in.ran = true;
+    in.run.verified = true;
+    EXPECT_FALSE(in.run.stats.toStatSet().has("resource.acquires"));
+
+    ResourceStreamStats &r = in.run.stats.resource;
+    r.acquires = 200000;
+    r.tailGrants = 109680;
+    r.intervalSum = 87804740;
+    r.peakIntervals = 477;
+    r.grantDigest = (1ull << 53) - 1; // widest digest the bench keeps
+
+    JobResult out;
+    jobResultFromJson(
+        JsonValue::parse(
+            jobResultToJson(in, /*include_log=*/false).dumpCompact()),
+        out);
+    const StatSet s = out.run.stats.toStatSet();
+    EXPECT_EQ(s.digest(), in.run.stats.toStatSet().digest());
+    EXPECT_EQ(s.get("resource.acquires"), 200000.0);
+    EXPECT_EQ(s.get("resource.mean_intervals"), 87804740.0 / 200000.0);
+    EXPECT_EQ(s.get("resource.grant_digest"), double((1ull << 53) - 1));
+}
+
 TEST(SupervisorCodec, LogIsOptionalOnTheWire)
 {
     JobResult in = fixedResult("l", 5);
