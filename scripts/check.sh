@@ -18,8 +18,8 @@
 # (every job in a forked sandbox, plus the kill-then-resume gate;
 # DESIGN.md §16), then
 # builds and runs everything again under AddressSanitizer + UBSan
-# (CMPMEM_SANITIZE=ON), runs the thread-safety subset (the parallel
-# intra-run engine and the sweep executor) under ThreadSanitizer
+# (CMPMEM_SANITIZE=ON), runs the sweep executor's suite (its worker
+# pool is the one place host threads run) under ThreadSanitizer
 # (CMPMEM_SANITIZE=thread), and
 # finishes with a widened fault-injection stress pass
 # (CMPMEM_FAULT_SCALE=2) in the sanitizer tree — the recovery paths
@@ -40,7 +40,7 @@ cd "$(dirname "$0")/.."
 
 # The benches with committed baselines; keep in step with the
 # cmpmem_gate() entries in bench/CMakeLists.txt and DESIGN.md §14.
-gate_benches="micro_events micro_access micro_miss micro_parallel micro_fabric table3 policy_space fig2_scaling fig3_traffic"
+gate_benches="micro_events micro_access micro_miss micro_fabric table3 policy_space fig2_scaling fig3_traffic"
 
 full=0
 update=0
@@ -145,15 +145,15 @@ if [[ "${full}" -eq 1 ]]; then
     echo "==> fault-injection stress pass (sanitized, scale 2)"
     CMPMEM_FAULT_SCALE=2 ctest --test-dir build-sanitize \
         --output-on-failure -j "${jobs}" -R test_faults_stress
-    echo "==> thread-sanitizer pass (parallel engine + sweep executor)"
-    # TSan and ASan cannot share a build; a third tree covers the two
-    # suites that actually run host threads — the intra-run parallel
-    # engine (DESIGN.md §17) and the inter-job sweep pool (§16).
+    echo "==> thread-sanitizer pass (sweep executor)"
+    # TSan and ASan cannot share a build; a third tree covers the one
+    # suite that actually runs host threads: the inter-job sweep pool
+    # (§16).
     cmake -S . -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=Release \
         -DCMPMEM_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "${jobs}"
     ctest --test-dir build-tsan --output-on-failure -j "${jobs}" \
-        -R 'test_parallel|test_sweep'
+        -R test_sweep
     echo "==> all configurations green"
 else
     run_config build "-LE long|perf" -DCMAKE_BUILD_TYPE=Release

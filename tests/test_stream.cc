@@ -2,7 +2,8 @@
  * @file
  * Streaming substrate tests: local store functional behaviour and
  * DMA engine correctness (sequential, strided, indexed) and timing
- * (outstanding-access limit, channel contention).
+ * (outstanding-access limit, channel contention), plus the kernel-
+ * visible put contract: data is copied at issue.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "harness/experiment.hh"
 #include "mem/dram.hh"
 #include "mem/functional_memory.hh"
 #include "mem/l1_controller.hh"
@@ -18,6 +20,7 @@
 #include "sim/rng.hh"
 #include "stream/dma_engine.hh"
 #include "stream/local_store.hh"
+#include "system/cmp_system.hh"
 
 namespace cmpmem
 {
@@ -182,6 +185,42 @@ TEST_F(DmaFixture, FullLinePutAvoidsL2Refill)
     auto reads = dram->readBytes();
     dma->put(dma->allDoneTick(), 0x31000, 0, 8);
     EXPECT_GT(dram->readBytes(), reads);
+}
+
+KernelTask
+overwriteAfterPut(Context &ctx, Addr dst, Tick *overwrite_at,
+                  Tick *put_done)
+{
+    for (std::uint32_t i = 0; i < 8; ++i)
+        co_await ctx.lsWrite<std::uint64_t>(
+            8 * i, 0x0101010101010101ULL * (i + 1));
+    auto tk = co_await ctx.dmaPut(dst, 0, 64);
+    // Reuse the output buffer at once, while the put is in flight.
+    for (std::uint32_t i = 0; i < 8; ++i)
+        co_await ctx.lsWrite<std::uint64_t>(8 * i, ~0ULL);
+    *overwrite_at = ctx.now();
+    *put_done = ctx.core().dma()->completionTick(tk);
+    co_await ctx.dmaWait(tk);
+}
+
+TEST(DmaPutContract, OutputBufferReusableRightAfterIssue)
+{
+    CmpSystem sys(makeConfig(1, MemModel::STR));
+    Addr dst = sys.mem().alloc(64);
+    Tick overwrite_at = 0;
+    Tick put_done = 0;
+    sys.bindKernel(0, overwriteAfterPut(sys.context(0), dst,
+                                        &overwrite_at, &put_done));
+    sys.simulate();
+
+    // The overwrite really raced the transfer...
+    EXPECT_LT(overwrite_at, put_done);
+    // ...and global memory still holds the bytes as of the put.
+    for (std::uint32_t i = 0; i < 8; ++i) {
+        EXPECT_EQ(sys.mem().read<std::uint64_t>(dst + 8 * i),
+                  0x0101010101010101ULL * (i + 1))
+            << "word " << i;
+    }
 }
 
 } // namespace
