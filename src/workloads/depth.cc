@@ -13,8 +13,9 @@
  *  - STR: DMAs the same pixels into the local store.
  */
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -33,39 +34,88 @@ constexpr int kWin = 8; ///< per-pixel SAD window
 /** Bundles per pixel: 16 disparities x 64-pixel window SAD on a
  *  3-slot VLIW (abs-diff + accumulate pairs) plus argmin logic. */
 constexpr Cycles kPixelCycles = 360;
+/** Distinct SAD window origins per axis: windows clamp inside the
+ *  block, so pixel (x, y) uses origin (clamp(x - 4), clamp(y - 4)). */
+constexpr int kOrigins = kBlock - kWin + 1;
+
+int
+windowOrigin(int p)
+{
+    return std::min(std::max(p - kWin / 2, 0), kBlock - kWin);
+}
+
+} // namespace
 
 /**
- * Dense per-pixel disparity for one pixel of a 32x32 block, given
- * the block-local left buffer and the right search strip. Runs
- * identically in the host reference and (on loaded values) in the
- * kernel, so outputs verify bit-exactly. The SAD window is clamped
- * inside the block so only fetched data is used.
+ * The block matcher, shared by the kernel (on the values it loaded)
+ * and verify() (on the host copies of the frames), so outputs verify
+ * bit-exactly. Per disparity, it box-sums the block's abs-diff image
+ * separably: running 8-row column sums, then 8-column sums at every
+ * window origin. A SAD is at most 64 * 255 = 16320, so uint16_t holds
+ * it exactly, and the strict < keeps the lowest disparity on ties, as
+ * a per-pixel search from d = 0 upward does.
  */
-std::uint8_t
-bestDisparityForPixel(const std::uint8_t *lbuf, const std::uint8_t *rbuf,
-                      int strip_cols, int px, int py)
+void
+disparityBlock(const std::uint8_t *lbuf, const std::uint8_t *rbuf,
+               int strip_cols, std::uint8_t *out)
 {
-    int wx = std::min(std::max(px - kWin / 2, 0), kBlock - kWin);
-    int wy = std::min(std::max(py - kWin / 2, 0), kBlock - kWin);
-    std::uint64_t best = ~0ull;
-    int bestD = 0;
+    // Right rows padded so column x + d needs no clamp in the d loop.
+    std::uint8_t rpad[kBlock][kBlock + kMaxDisp];
+    for (int y = 0; y < kBlock; ++y) {
+        for (int c = 0; c < kBlock + kMaxDisp; ++c)
+            rpad[y][c] = rbuf[y * strip_cols + std::min(c, strip_cols - 1)];
+    }
+
+    std::uint16_t best[kOrigins][kOrigins];
+    std::uint8_t bestD[kOrigins][kOrigins] = {};
+    std::fill(&best[0][0], &best[0][0] + kOrigins * kOrigins,
+              std::uint16_t(0xffff));
+    std::uint8_t diff[kBlock][kBlock];
+    std::uint16_t col[kOrigins][kBlock];
     for (int d = 0; d < kMaxDisp; ++d) {
-        std::uint64_t sad = 0;
-        for (int y = 0; y < kWin; ++y) {
-            for (int x = 0; x < kWin; ++x) {
-                int rc = std::min(wx + x + d, strip_cols - 1);
-                sad += std::uint64_t(
-                    std::abs(int(lbuf[(wy + y) * kBlock + wx + x]) -
-                             int(rbuf[(wy + y) * strip_cols + rc])));
+        for (int y = 0; y < kBlock; ++y) {
+            for (int x = 0; x < kBlock; ++x) {
+                int l = lbuf[y * kBlock + x];
+                int r = rpad[y][x + d];
+                diff[y][x] = std::uint8_t(l > r ? l - r : r - l);
             }
         }
-        if (sad < best) {
-            best = sad;
-            bestD = d;
+        for (int x = 0; x < kBlock; ++x) {
+            std::uint16_t s = 0;
+            for (int y = 0; y < kWin; ++y)
+                s = std::uint16_t(s + diff[y][x]);
+            col[0][x] = s;
+        }
+        for (int oy = 1; oy < kOrigins; ++oy) {
+            for (int x = 0; x < kBlock; ++x) {
+                col[oy][x] = std::uint16_t(col[oy - 1][x] +
+                                           diff[oy + kWin - 1][x] -
+                                           diff[oy - 1][x]);
+            }
+        }
+        for (int oy = 0; oy < kOrigins; ++oy) {
+            std::uint16_t sad[kOrigins] = {};
+            for (int k = 0; k < kWin; ++k) {
+                for (int ox = 0; ox < kOrigins; ++ox)
+                    sad[ox] = std::uint16_t(sad[ox] + col[oy][ox + k]);
+            }
+            for (int ox = 0; ox < kOrigins; ++ox) {
+                if (sad[ox] < best[oy][ox]) {
+                    best[oy][ox] = sad[ox];
+                    bestD[oy][ox] = std::uint8_t(d);
+                }
+            }
         }
     }
-    return std::uint8_t(bestD);
+
+    for (int y = 0; y < kBlock; ++y) {
+        for (int x = 0; x < kBlock; ++x)
+            out[y * kBlock + x] = bestD[windowOrigin(y)][windowOrigin(x)];
+    }
 }
+
+namespace
+{
 
 class DepthWorkload : public Workload
 {
@@ -136,6 +186,7 @@ class DepthWorkload : public Workload
         const int strip = kBlock + kMaxDisp;
         std::vector<std::uint8_t> lbuf(kBlock * kBlock);
         std::vector<std::uint8_t> rbuf(std::size_t(strip) * kBlock);
+        std::vector<std::uint8_t> want(kBlock * kBlock);
         for (std::uint32_t p = 0; p < pairs; ++p) {
             for (int by = 0; by < bh; ++by) {
                 for (int bx = 0; bx < bw; ++bx) {
@@ -150,13 +201,13 @@ class DepthWorkload : public Workload
                             rbuf[y * rxMax + x] = hostRight[pixelIndex(
                                 p, lx0 + x, ly0 + y)];
                     }
+                    disparityBlock(lbuf.data(), rbuf.data(), rxMax,
+                                   want.data());
                     for (int y = 0; y < kBlock; ++y) {
                         for (int x = 0; x < kBlock; ++x) {
-                            auto want = bestDisparityForPixel(
-                                lbuf.data(), rbuf.data(), rxMax, x, y);
                             auto got = mem.read<std::uint8_t>(disp.at(
                                 pixelIndex(p, lx0 + x, ly0 + y)));
-                            if (got != want)
+                            if (got != want[y * kBlock + x])
                                 return false;
                         }
                     }
@@ -191,6 +242,7 @@ class DepthWorkload : public Workload
 
         std::vector<std::uint8_t> lbuf(kBlock * kBlock);
         std::vector<std::uint8_t> rbuf(std::size_t(strip) * kBlock);
+        std::vector<std::uint8_t> dmap(kBlock * kBlock);
 
         for (std::uint64_t b = r.begin; b < r.end; ++b) {
             std::uint32_t p = std::uint32_t(b / (std::uint64_t(bh) * bw));
@@ -243,18 +295,16 @@ class DepthWorkload : public Workload
 
             // Dense per-pixel disparity over the block: every
             // pixel runs a windowed SAD across the disparity range
-            // (in-register compute on the fetched block data).
+            // (in-register compute on the fetched block data). The
+            // host computes the whole map at once; the simulated
+            // core is charged per pixel.
+            disparityBlock(lbuf.data(), rbuf.data(), rxMax,
+                           dmap.data());
             for (int y = 0; y < kBlock; ++y) {
                 for (int x = 0; x < kBlock; x += 4) {
-                    std::uint8_t d4[4];
-                    for (int k = 0; k < 4; ++k) {
-                        d4[k] = bestDisparityForPixel(
-                            lbuf.data(), rbuf.data(), rxMax, x + k,
-                            y);
-                    }
                     co_await ctx.compute(4 * kPixelCycles);
                     std::uint32_t w;
-                    std::memcpy(&w, d4, 4);
+                    std::memcpy(&w, &dmap[y * kBlock + x], 4);
                     co_await ctx.storeNA<std::uint32_t>(
                         disp.at(pixelIndex(p, lx0 + x, ly0 + y)), w);
                 }

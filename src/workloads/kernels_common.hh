@@ -75,6 +75,21 @@ splitRange(std::uint64_t n, int tid, int nthreads)
 void forwardTransform8x8(std::int32_t *blk);
 void inverseTransform8x8(std::int32_t *blk);
 
+/**
+ * Dense disparity map of one 32x32 stereo block (the depth workload's
+ * block matcher, defined in depth.cc). Pixel (x, y) gets the disparity
+ * d in [0, 16) with the least SAD between its 8x8 window of @p lbuf
+ * and that window of @p rbuf shifted right by d columns; the window is
+ * clamped inside the block, right-image columns are clamped to
+ * @p strip_cols - 1, and ties go to the lowest d.
+ *
+ * @param lbuf left block, 32 rows of 32 pixels.
+ * @param rbuf right search strip, 32 rows of @p strip_cols pixels.
+ * @param out 1024 disparities, row-major.
+ */
+void disparityBlock(const std::uint8_t *lbuf, const std::uint8_t *rbuf,
+                    int strip_cols, std::uint8_t *out);
+
 /** FNV-1a checksum over a simulated-memory range (untimed). */
 std::uint64_t checksumMem(FunctionalMemory &mem, Addr addr,
                           std::uint64_t bytes);

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <vector>
+
 #include "cmpmem.hh"
 
 namespace cmpmem
@@ -121,6 +125,80 @@ TEST(WorkloadVariants, CoreCountSweepVerifies)
                                       params);
             EXPECT_TRUE(r.verified)
                 << cores << " cores " << to_string(m);
+        }
+    }
+}
+
+/**
+ * The depth block matcher's definition, one pixel at a time: the
+ * 8x8 window around (px, py) clamped inside the 32x32 block, SAD
+ * against the right strip shifted by d (columns clamped to the
+ * strip), lowest d on ties.
+ */
+std::uint8_t
+referenceDisparity(const std::uint8_t *lbuf, const std::uint8_t *rbuf,
+                   int strip_cols, int px, int py)
+{
+    constexpr int kBlock = 32, kMaxDisp = 16, kWin = 8;
+    int wx = std::min(std::max(px - kWin / 2, 0), kBlock - kWin);
+    int wy = std::min(std::max(py - kWin / 2, 0), kBlock - kWin);
+    std::uint64_t best = ~0ull;
+    int bestD = 0;
+    for (int d = 0; d < kMaxDisp; ++d) {
+        std::uint64_t sad = 0;
+        for (int y = 0; y < kWin; ++y) {
+            for (int x = 0; x < kWin; ++x) {
+                int rc = std::min(wx + x + d, strip_cols - 1);
+                sad += std::uint64_t(
+                    std::abs(int(lbuf[(wy + y) * kBlock + wx + x]) -
+                             int(rbuf[(wy + y) * strip_cols + rc])));
+            }
+        }
+        if (sad < best) {
+            best = sad;
+            bestD = d;
+        }
+    }
+    return std::uint8_t(bestD);
+}
+
+/**
+ * disparityBlock must equal the per-pixel definition on every pixel:
+ * full-range pixels, 2-bit pixels (SAD ties everywhere), and a
+ * constant block (all disparities tie, answer 0), for interior
+ * blocks (48-column strip) and the last block column, where the
+ * strip is 32 columns and the right-column clamp bites.
+ */
+TEST(DepthDisparity, BlockMatchesPerPixelDefinition)
+{
+    Rng rng(2007);
+    std::vector<std::uint8_t> lbuf(32 * 32), rbuf(48 * 32),
+        got(32 * 32);
+    for (int strip : {48, 32}) {
+        for (std::uint64_t mask : {0xffull, 0x3ull, 0x0ull}) {
+            const int blocks = mask ? 40 : 1;
+            for (int b = 0; b < blocks; ++b) {
+                std::uint8_t base = std::uint8_t(rng.nextBelow(256));
+                for (auto &v : lbuf)
+                    v = std::uint8_t(mask ? rng.next() & mask : base);
+                for (auto &v : rbuf)
+                    v = std::uint8_t(mask ? rng.next() & mask : base);
+                disparityBlock(lbuf.data(), rbuf.data(), strip,
+                               got.data());
+                for (int y = 0; y < 32; ++y) {
+                    for (int x = 0; x < 32; ++x) {
+                        auto want = referenceDisparity(
+                            lbuf.data(), rbuf.data(), strip, x, y);
+                        ASSERT_EQ(int(got[y * 32 + x]), int(want))
+                            << "strip " << strip << " mask " << mask
+                            << " block " << b << " pixel (" << x
+                            << ", " << y << ")";
+                        if (!mask) {
+                            ASSERT_EQ(int(want), 0);
+                        }
+                    }
+                }
+            }
         }
     }
 }
