@@ -13,10 +13,6 @@
  *   burst  - same-tick fan-out bursts: the now-FIFO path.
  *   far    - horizons beyond the calendar ring: overflow heap and
  *            migration on window advance.
- *   far_tuned - the same far-future stream under auto-tuned calendar
- *            geometry (a dry-run sample picks the bucket shift via
- *            EventQueue::recommendBucketShift): same events, a
- *            fraction of the overflows.
  *   stress - the full-system randomized "stress" workload (CC,
  *            4 cores), where model code dominates each event.
  *
@@ -41,7 +37,6 @@ queueResult(const EventQueue &eq, double host_seconds)
     r.stats.eventsExecuted = eq.executed();
     r.stats.peakPendingEvents = eq.peakPending();
     r.stats.calendarOverflows = eq.calendarOverflows();
-    r.stats.calendarBucketShift = eq.bucketShift();
     r.stats.execTicks = eq.now();
     r.hostSeconds = host_seconds;
     r.verified = true;
@@ -136,19 +131,6 @@ struct FarChain
     }
 };
 
-/** Launch the far-future chain set on @p eq (strides 300k..940k). */
-void
-armFarChains(EventQueue &eq, std::vector<FarChain> &chains,
-             std::uint64_t *fired, std::uint64_t per_chain)
-{
-    for (std::size_t i = 0; i < chains.size(); ++i) {
-        // Well past the default ~262k-tick window so every hop
-        // overflows under the stock geometry.
-        chains[i] = {&eq, fired, per_chain, Tick(300000 + 40001 * i)};
-        chains[i].arm(Tick(i));
-    }
-}
-
 /** Chains whose stride exceeds the calendar window (overflow path). */
 RunResult
 runFar()
@@ -160,41 +142,11 @@ runFar()
     std::uint64_t fired = 0;
     std::vector<FarChain> chains(kChains);
     double t0 = threadCpuSeconds();
-    armFarChains(eq, chains, &fired, perChain);
-    eq.run();
-    return queueResult(eq, threadCpuSeconds() - t0);
-}
-
-/**
- * The same far-future stream under auto-tuned geometry: a short
- * dry-run sample under the default shift feeds
- * recommendBucketShift(), and the measured run uses the result. The
- * simulated stream is bit-identical to runFar() — same events, same
- * final tick — with the overflow heap nearly idle (the artifact
- * records both, which is the before/after the perf gate watches).
- */
-RunResult
-runFarTuned()
-{
-    constexpr int kChains = 16;
-    const std::uint64_t perChain = benchIters(2000);
-
-    unsigned shift;
-    {
-        EventQueue sample;
-        std::uint64_t fired = 0;
-        std::vector<FarChain> chains(kChains);
-        armFarChains(sample, chains, &fired, perChain);
-        sample.runUntil(4 * sample.horizonTicks());
-        shift = sample.recommendBucketShift();
+    for (std::size_t i = 0; i < chains.size(); ++i) {
+        // Well past the ~262k-tick window, so every hop overflows.
+        chains[i] = {&eq, &fired, perChain, Tick(300000 + 40001 * i)};
+        chains[i].arm(Tick(i));
     }
-
-    EventQueue eq;
-    eq.setBucketShift(shift);
-    std::uint64_t fired = 0;
-    std::vector<FarChain> chains(kChains);
-    double t0 = threadCpuSeconds();
-    armFarChains(eq, chains, &fired, perChain);
     eq.run();
     return queueResult(eq, threadCpuSeconds() - t0);
 }
@@ -224,11 +176,6 @@ main(int argc, char **argv)
                       std::vector<std::string>{},
                       std::map<std::string, std::string>{{"job", "far"}},
                       runFar);
-    jobs.emplace_back("far_tuned", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
-                      std::map<std::string, std::string>{
-                          {"job", "far_tuned"}},
-                      runFarTuned);
     jobs.emplace_back("stress/model=CC", "stress",
                       makeConfig(4, MemModel::CC), stress_params,
                       std::vector<std::string>{},
@@ -243,7 +190,7 @@ main(int argc, char **argv)
         runBenchJobs("micro_events", std::move(jobs), opts);
 
     TextTable table({"job", "events", "host ms", "events/sec",
-                     "peak pending", "overflows", "shift"});
+                     "peak pending", "overflows"});
     for (const JobResult &jr : res.jobs()) {
         table.addRow({jr.job.id,
                       fmt("%llu", (unsigned long long)
@@ -253,9 +200,7 @@ main(int argc, char **argv)
                       fmt("%llu", (unsigned long long)
                                       jr.run.stats.peakPendingEvents),
                       fmt("%llu", (unsigned long long)
-                                      jr.run.stats.calendarOverflows),
-                      fmt("%llu", (unsigned long long)
-                                      jr.run.stats.calendarBucketShift)});
+                                      jr.run.stats.calendarOverflows)});
     }
     std::printf("%s", table.format().c_str());
     return finishBench(res);

@@ -57,6 +57,10 @@ for arg in "$@"; do
     esac
 done
 
+# The plain Release tree fails on any compiler warning (CMake >= 3.24;
+# older CMake ignores the variable). The sanitizer trees do not.
+release=(-DCMAKE_BUILD_TYPE=Release -DCMAKE_COMPILE_WARNING_AS_ERROR=ON)
+
 run_config() {
     local dir="$1"
     local label_args="$2"
@@ -87,7 +91,7 @@ run_bench_pinned() {
 
 if [[ "${update}" -eq 1 ]]; then
     echo "==> regenerating baselines/ (Release, CMPMEM_SCALE=0)"
-    cmake -S . -B build -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
+    cmake -S . -B build -G Ninja "${release[@]}" >/dev/null
     cmake --build build -j "${jobs}"
     for bench in ${gate_benches}; do
         run_bench_pinned "${bench}" baselines
@@ -104,7 +108,7 @@ if [[ "${update}" -eq 1 ]]; then
 fi
 
 if [[ "${full}" -eq 1 ]]; then
-    run_config build "-LE perf" -DCMAKE_BUILD_TYPE=Release
+    run_config build "-LE perf" "${release[@]}"
     echo "==> host-performance pass (Release, label perf)"
     # Serial, in the plain Release tree only: events/sec from a
     # sanitized or contended run would be meaningless. The gate_*
@@ -156,6 +160,6 @@ if [[ "${full}" -eq 1 ]]; then
         -R test_sweep
     echo "==> all configurations green"
 else
-    run_config build "-LE long|perf" -DCMAKE_BUILD_TYPE=Release
+    run_config build "-LE long|perf" "${release[@]}"
     echo "==> quick suite green (use --full before shipping)"
 fi

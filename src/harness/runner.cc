@@ -47,47 +47,13 @@ threadCpuSeconds()
         .count();
 }
 
-/**
- * Calendar-geometry auto-tuning (SystemConfig::eq.autoTune): sample
- * the workload's event stream with a short bounded dry run under the
- * configured geometry, then let the queue recommend the bucket shift
- * for the real run. The dry run is deterministic (fixed tick budget,
- * same seeds), so the chosen geometry — and therefore everything the
- * artifact records — is reproducible.
- */
-static std::uint32_t
-tunedBucketShift(const std::string &workload_name, const SystemConfig &cfg,
-                 const WorkloadParams &params)
-{
-    SystemConfig dry_cfg = cfg;
-    dry_cfg.eq.autoTune = false;
-
-    CmpSystem sys(dry_cfg);
-    auto workload = createWorkload(workload_name, params);
-    workload->setup(sys);
-    double mpki = workload->icacheMpki(sys.config());
-    for (int i = 0; i < sys.cores(); ++i) {
-        sys.core(i).icache().setMissesPerKiloInstr(mpki);
-        sys.bindKernel(i, workload->kernel(sys.context(i)));
-    }
-    sys.dryRun(cfg.eq.tuneDryRunTicks);
-    return sys.eventQueue().recommendBucketShift(cfg.eq.tuneHotThreshold);
-}
-
 RunResult
 runWorkload(const std::string &workload_name, const SystemConfig &cfg,
             const WorkloadParams &params)
 {
     double t0 = threadCpuSeconds();
 
-    SystemConfig run_cfg = cfg;
-    if (cfg.eq.autoTune) {
-        run_cfg.eq.autoTune = false;
-        run_cfg.eq.bucketShift =
-            tunedBucketShift(workload_name, cfg, params);
-    }
-
-    CmpSystem sys(run_cfg);
+    CmpSystem sys(cfg);
     auto workload = createWorkload(workload_name, params);
     workload->setup(sys);
 

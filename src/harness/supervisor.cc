@@ -134,7 +134,6 @@ visitRunStatsScalars(RS &s, F &&f)
     f("events_executed", s.eventsExecuted);
     f("peak_pending_events", s.peakPendingEvents);
     f("calendar_overflows", s.calendarOverflows);
-    f("calendar_bucket_shift", s.calendarBucketShift);
     f("resource_acquires", s.resource.acquires);
     f("resource_tail_grants", s.resource.tailGrants);
     f("resource_interval_sum", s.resource.intervalSum);

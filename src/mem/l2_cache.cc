@@ -139,8 +139,8 @@ L2Cache::drainDirty()
 {
     std::uint64_t drained = 0;
     for (auto &bank : bankArray) {
-        drained += bank->tags.forEachDirty([&](Addr) {
-            dram.write(dram.nextFreeHint(), Addr(0), cfg.lineBytes);
+        drained += bank->tags.forEachDirty([&](Addr line) {
+            dram.write(dram.nextFreeHint(), line, cfg.lineBytes);
             ++numWbToDram;
         });
     }

@@ -67,43 +67,6 @@ EventQueue::throwSchedulePast(Tick when) const
 }
 
 void
-EventQueue::setBucketShift(unsigned shift)
-{
-    if (shift < kMinBucketShift || shift > kMaxBucketShift) {
-        throwSimError(SimErrorKind::Config,
-                      "calendar bucket shift %u out of range [%u, %u]",
-                      shift, kMinBucketShift, kMaxBucketShift);
-    }
-    if (pendingCount != 0 || numExecuted != 0) {
-        // Re-bucketing live events would be possible but is never
-        // needed: geometry is a per-run decision, and allowing it
-        // mid-run invites accidental nondeterminism in callers.
-        throwSimError(SimErrorKind::Model,
-                      "calendar geometry change on a non-idle queue "
-                      "(%zu pending, %llu executed)",
-                      pendingCount,
-                      static_cast<unsigned long long>(numExecuted));
-    }
-    tickShift = shift;
-}
-
-unsigned
-EventQueue::recommendBucketShift(double hot_threshold) const
-{
-    if (numExecuted == 0 || overflowCount == 0 ||
-        double(overflowCount) / double(numExecuted) <= hot_threshold)
-        return tickShift;
-    // A horizon of H ticks can span (H >> shift) + 1 bucket indices
-    // when it straddles bucket boundaries, so require one spare slot
-    // below kNumBuckets for the worst overflow seen to fit in-window.
-    unsigned shift = tickShift;
-    while (shift < kMaxBucketShift &&
-           (maxOverflowHorizon >> shift) >= kNumBuckets - 1)
-        ++shift;
-    return shift;
-}
-
-void
 EventQueue::releaseNode(Node *n)
 {
     n->cb.reset();
@@ -166,11 +129,6 @@ EventQueue::insert(Node *n)
         } else {
             heapPush(farHeap, n);
             ++overflowCount;
-            // Off the hot path: the horizon high-water mark feeds
-            // recommendBucketShift(), and only overflowed events
-            // matter to it (in-window events fit by definition).
-            if (when - curTick > maxOverflowHorizon)
-                maxOverflowHorizon = when - curTick;
         }
     }
     if (++pendingCount > peakPendingCount)

@@ -11,13 +11,11 @@
  *    chains append and pop in O(1), sequence order by construction);
  *  - a sorted array over the *active* bucket (the one containing the
  *    current tick), popped by index;
- *  - a ring of 1024 buckets x 2^bucketShift ticks (256 by default,
- *    runtime-tunable — see setBucketShift) of unsorted singly-linked
- *    lists with an occupancy bitmap (push O(1), activation sorts one
- *    bucket);
- *  - an overflow heap for events beyond the ring horizon (~262 ns at
- *    the default geometry), migrated into the ring as the window
- *    advances.
+ *  - a ring of 1024 buckets x 2^kBucketShift (256) ticks of unsorted
+ *    singly-linked lists with an occupancy bitmap (push O(1),
+ *    activation sorts one bucket);
+ *  - an overflow heap for events beyond the ring horizon (~262 ns),
+ *    migrated into the ring as the window advances.
  *
  * Pop order is globally (tick, sequence) — bit-identical to the old
  * single priority queue — because every container holds a disjoint,
@@ -60,16 +58,12 @@ class EventQueue
     using Callback = InlineFunction<void(), kCallbackBytes>;
 
     /**
-     * Calendar geometry bounds. The bucket shift is the log2 of the
-     * tick width of one ring bucket, so the ring horizon is
-     * kNumBuckets << shift ticks; events past the horizon take the
-     * overflow heap. The shift is a runtime knob (SystemConfig::eq)
-     * because the right width depends on the workload's scheduling
-     * horizons — see recommendBucketShift().
+     * Calendar geometry: log2 of the tick width of one ring bucket,
+     * so the ring horizon is kNumBuckets << kBucketShift ticks;
+     * events past the horizon take the overflow heap. Fixed, because
+     * every run simulates the same machine (DESIGN.md section 14).
      */
-    static constexpr unsigned kDefaultBucketShift = 8;
-    static constexpr unsigned kMinBucketShift = 4;
-    static constexpr unsigned kMaxBucketShift = 20;
+    static constexpr unsigned kBucketShift = 8;
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -165,7 +159,7 @@ class EventQueue
     std::uint64_t executed() const { return numExecuted; }
 
     //
-    // Host-throughput telemetry. All three are pure functions of the
+    // Host-throughput telemetry. Both are pure functions of the
     // deterministic event stream (no host timing), so they are
     // bit-identical across runs and safe to ship in RunStats/JSON.
     //
@@ -179,51 +173,6 @@ class EventQueue
      * into the ring as the window advances).
      */
     std::uint64_t calendarOverflows() const { return overflowCount; }
-
-    //
-    // Calendar geometry: runtime bucket width plus the tuning hook
-    // that picks it from an observed event stream (DESIGN.md §14).
-    //
-
-    /** Current log2 tick width of one ring bucket. */
-    unsigned bucketShift() const { return tickShift; }
-
-    /** Ring horizon in ticks under the current geometry. */
-    Tick horizonTicks() const { return Tick(kNumBuckets) << tickShift; }
-
-    /**
-     * Set the bucket width to 2^@p shift ticks. Only legal on an
-     * idle queue (nothing pending, nothing executed): geometry is
-     * per-run, chosen before the first schedule(). Throws
-     * SimErrorKind::Config for an out-of-range shift and
-     * SimErrorKind::Model when the queue is already in use.
-     *
-     * Geometry never changes pop order — every container holds a
-     * disjoint ordered slice of the future for any shift — so two
-     * runs differing only in bucket shift execute bit-identical
-     * event streams; only calendarOverflows() (and host speed)
-     * moves. tests/test_sim.cc pins this.
-     */
-    void setBucketShift(unsigned shift);
-
-    /**
-     * Largest schedule-time horizon (when - now) among events that
-     * overflowed the ring so far; 0 when nothing overflowed. A pure
-     * function of the deterministic event stream.
-     */
-    Tick overflowHorizon() const { return maxOverflowHorizon; }
-
-    /**
-     * Tuning hook: the bucket shift a re-run of the observed stream
-     * should use. Returns the current shift while the overflow heap
-     * is cold (overflows/executed <= @p hot_threshold); when hot,
-     * returns the smallest shift (capped at kMaxBucketShift) whose
-     * ring horizon covers the worst overflow horizon seen. Callers
-     * run a short dry run, read this, and rebuild the queue
-     * (harness/runner.cc does exactly that for
-     * SystemConfig::eq.autoTune).
-     */
-    unsigned recommendBucketShift(double hot_threshold = 0.01) const;
 
     /** Pool capacity in nodes (tests: free-list reuse under churn). */
     std::size_t nodesAllocated() const
@@ -239,10 +188,7 @@ class EventQueue
     std::vector<Tick> pendingEventTicks(std::size_t max = 16) const;
 
   private:
-    /**
-     * Ring geometry: 1024 buckets x 2^tickShift ticks (256-tick
-     * buckets and a ~262 ns horizon at the default shift).
-     */
+    /** Ring geometry: 1024 buckets of 256 ticks, a ~262 ns horizon. */
     static constexpr std::size_t kNumBuckets = 1024;
     static constexpr std::size_t kBucketMask = kNumBuckets - 1;
     static constexpr std::size_t kBitmapWords = kNumBuckets / 64;
@@ -316,8 +262,8 @@ class EventQueue
      */
     bool advanceWindow();
 
-    /** Absolute bucket index of a tick under the current geometry. */
-    std::uint64_t bucketOf(Tick t) const { return t >> tickShift; }
+    /** Absolute bucket index of a tick. */
+    static std::uint64_t bucketOf(Tick t) { return t >> kBucketShift; }
 
     /** The shared body of run()/runUntil()/runGuarded()'s inner step. */
     void dispatch(Node *n);
@@ -358,8 +304,6 @@ class EventQueue
     std::size_t pendingCount = 0;
     std::uint64_t peakPendingCount = 0;
     std::uint64_t overflowCount = 0;
-    unsigned tickShift = kDefaultBucketShift;
-    Tick maxOverflowHorizon = 0;
 };
 
 } // namespace cmpmem

@@ -13,8 +13,6 @@ CmpSystem::CmpSystem(const SystemConfig &config) : cfg(config)
     cfg.finalize();
     cfg.validate();
 
-    eq.setBucketShift(cfg.eq.bucketShift);
-
     dramChannel = std::make_unique<DramChannel>(cfg.dram);
     l2cache = std::make_unique<L2Cache>(cfg.l2, *dramChannel);
     fab = std::make_unique<CoherenceFabric>(cfg.net, cfg.cores,
@@ -28,15 +26,9 @@ CmpSystem::CmpSystem(const SystemConfig &config) : cfg(config)
     }
 
     if (cfg.faults.enabled) {
-#if CMPMEM_FAULTS_ENABLED
         faultInj = std::make_unique<FaultInjector>(cfg.faults);
         dramChannel->setFaultInjector(faultInj.get());
         fab->setFaultInjector(faultInj.get());
-#else
-        throwSimError(SimErrorKind::Config,
-                      "fault injection requested but this build was "
-                      "configured with CMPMEM_FAULTS=OFF");
-#endif
     }
 
     const Clock clock = cfg.coreClock();
@@ -106,14 +98,6 @@ void
 CmpSystem::bindKernel(int i, KernelTask task)
 {
     coreVec.at(i)->bindKernel(std::move(task));
-}
-
-Tick
-CmpSystem::dryRun(Tick max_ticks)
-{
-    for (auto &core : coreVec)
-        core->start();
-    return eq.runUntil(max_ticks);
 }
 
 Tick
@@ -264,7 +248,6 @@ CmpSystem::collectStats() const
     rs.eventsExecuted = eq.executed();
     rs.peakPendingEvents = eq.peakPending();
     rs.calendarOverflows = eq.calendarOverflows();
-    rs.calendarBucketShift = eq.bucketShift();
 
     return rs;
 }
@@ -369,7 +352,10 @@ RunStats::toStatSet() const
     s.set("sim.events_executed", double(eventsExecuted));
     s.set("sim.peak_pending_events", double(peakPendingEvents));
     s.set("sim.calendar_overflows", double(calendarOverflows));
-    s.set("sim.calendar_bucket_shift", double(calendarBucketShift));
+    // The fixed geometry, kept so every recorded digest holds (0 when
+    // no event queue ran, as for the micro_fabric replays).
+    s.set("sim.calendar_bucket_shift",
+          eventsExecuted ? double(EventQueue::kBucketShift) : 0.0);
     if (resource.acquires > 0) {
         s.set("resource.acquires", double(resource.acquires));
         s.set("resource.tail_grants", double(resource.tailGrants));

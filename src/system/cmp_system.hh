@@ -97,14 +97,6 @@ struct RunStats
     std::uint64_t calendarOverflows = 0;
 
     /**
-     * Calendar-queue geometry the run executed under (the log2 tick
-     * width of one ring bucket). Recorded so artifacts and the
-     * bench_compare gate see which geometry — configured or
-     * auto-tuned — produced the numbers.
-     */
-    std::uint64_t calendarBucketShift = 0;
-
-    /**
      * Miss-path host allocations (DESIGN.md §18): heap allocations
      * taken by MSHR waiter pools and DMA scratch buffers past their
      * warm-up reservations, summed over all cores. Host-side only
@@ -178,17 +170,6 @@ class CmpSystem
 
     /** Attach core @p i's kernel coroutine. */
     void bindKernel(int i, KernelTask task);
-
-    /**
-     * Tuning dry run: start the cores and execute events up to
-     * simulated tick @p max_ticks, with no drain epilogue, no
-     * deadlock check, and no watchdog — the machine is abandoned
-     * where it stands (safe: the whole system, suspended kernels
-     * included, is torn down by the destructor). Used by the
-     * calendar-geometry auto-tuner to sample a workload's scheduling
-     * horizons cheaply; read the telemetry off eventQueue().
-     */
-    Tick dryRun(Tick max_ticks);
 
     /**
      * Run every bound kernel to completion, then drain dirty cache

@@ -1,6 +1,5 @@
 #include "system/config.hh"
 
-#include "sim/event_queue.hh"
 #include "sim/sim_error.hh"
 
 namespace cmpmem
@@ -44,17 +43,6 @@ SystemConfig::validate() const
         throwSimError(SimErrorKind::Config,
                       "stream buffers need at least one buffer of "
                       "depth one");
-    if (eq.bucketShift < EventQueue::kMinBucketShift ||
-        eq.bucketShift > EventQueue::kMaxBucketShift)
-        throwSimError(SimErrorKind::Config,
-                      "calendar bucket shift %u out of range [%u, %u]",
-                      eq.bucketShift, EventQueue::kMinBucketShift,
-                      EventQueue::kMaxBucketShift);
-    if (eq.autoTune &&
-        (eq.tuneDryRunTicks == 0 || eq.tuneHotThreshold < 0))
-        throwSimError(SimErrorKind::Config,
-                      "calendar auto-tuning needs a positive dry-run "
-                      "tick budget and a non-negative hot threshold");
     if (faults.enabled) {
         if (faults.dramBitFlipProb < 0 || faults.dramBitFlipProb >= 1 ||
             faults.netNackProb < 0 || faults.netNackProb >= 1 ||

@@ -133,40 +133,6 @@ struct SystemConfig
      */
     WatchdogConfig watchdog;
 
-    /**
-     * Event-engine calendar geometry (DESIGN.md §12/§14). The ring
-     * has a fixed 1024 buckets; bucketShift sets each bucket's width
-     * to 2^bucketShift ticks, so the in-window horizon is
-     * 1024 << bucketShift ticks and events scheduled further out pay
-     * the overflow heap (RunStats::calendarOverflows).
-     *
-     * autoTune closes the loop: runWorkload() first executes a
-     * tuneDryRunTicks-bounded dry run under the configured geometry,
-     * and when the overflow heap is hot (overflows per executed
-     * event above tuneHotThreshold) widens the buckets just enough
-     * to cover the worst horizon observed, then runs the real
-     * simulation under the chosen geometry. Geometry never changes
-     * simulated behaviour — stats are bit-identical for any shift
-     * except sim.calendar_overflows (and the recorded
-     * sim.calendar_bucket_shift itself).
-     */
-    struct EventQueueTuning
-    {
-        std::uint32_t bucketShift = 8;
-
-        bool autoTune = false;
-
-        /** Simulated-tick budget of the tuning dry run (4x the
-         *  default geometry's horizon, enough to watch several
-         *  window advances). */
-        Tick tuneDryRunTicks = 4 * (1024u << 8);
-
-        /** Overflows per executed event above which the geometry is
-         *  considered hot and retuned. */
-        double tuneHotThreshold = 0.01;
-    };
-    EventQueueTuning eq;
-
     Clock coreClock() const { return Clock::fromMhz(coreClockGhz * 1000); }
 
     int clusters() const

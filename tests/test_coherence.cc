@@ -332,9 +332,10 @@ TEST_F(CoherenceFixture, RandomTrafficPreservesSWMR)
                     ++readers;
             }
             EXPECT_LE(writers, 1) << "line " << l << " iter " << i;
-            if (writers == 1)
+            if (writers == 1) {
                 EXPECT_EQ(readers, 0)
                     << "line " << l << " iter " << i;
+            }
         }
     }
 }

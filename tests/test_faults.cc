@@ -355,8 +355,6 @@ TEST(Faults, DisabledByDefaultAndCountersZero)
     EXPECT_EQ(r.stats.faults.dmaFaults, 0u);
 }
 
-#if CMPMEM_FAULTS_ENABLED
-
 TEST(Faults, SameSeedReproducesBitIdentically)
 {
     WorkloadParams p;
@@ -495,22 +493,6 @@ TEST(Faults, CoherenceCheckerStaysCleanUnderInjectedFaults)
     EXPECT_GT(r.stats.checkerEvents, 0u);
 }
 
-#else // !CMPMEM_FAULTS_ENABLED
-
-TEST(Faults, RequestingFaultsInFaultFreeBuildIsConfigError)
-{
-    SystemConfig cfg = makeConfig(2, MemModel::CC);
-    cfg.faults = stressFaultConfig(1);
-    try {
-        CmpSystem sys(cfg);
-        FAIL() << "faults accepted in CMPMEM_FAULTS=OFF build";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), SimErrorKind::Config);
-    }
-}
-
-#endif // CMPMEM_FAULTS_ENABLED
-
 // ---------------------------------------------------------------- //
 // Sweep-engine failure isolation                                   //
 // ---------------------------------------------------------------- //
@@ -595,8 +577,6 @@ TEST(SweepFaults, PlainExceptionsKeepGenericKind)
     EXPECT_TRUE(contains(res.toJson(), "\"kind\": \"exception\""));
 }
 
-#if CMPMEM_FAULTS_ENABLED
-
 // ---------------------------------------------------------------- //
 // Long-running fault stress (label: long)                          //
 // ---------------------------------------------------------------- //
@@ -676,8 +656,6 @@ TEST(FaultStress, CoherenceCheckerCleanAcrossSeeds)
         EXPECT_EQ(r.stats.checkerViolations, 0u) << "seed " << s;
     }
 }
-
-#endif // CMPMEM_FAULTS_ENABLED
 
 } // namespace
 } // namespace cmpmem

@@ -109,70 +109,5 @@ TEST(GoldenDigest, AlgorithmIsStable)
     EXPECT_NE(reordered.digest(), s.digest());
 }
 
-// ---------------------------------------------------------------- //
-// Calendar geometry is host-only at system level                   //
-// ---------------------------------------------------------------- //
-
-/** Every stat except the calendar telemetry, compared bitwise. */
-void
-expectModelStatsIdentical(const RunStats &a, const RunStats &b,
-                          const char *label)
-{
-    StatSet sa = a.toStatSet();
-    StatSet sb = b.toStatSet();
-    ASSERT_EQ(sa.names().size(), sb.names().size());
-    for (const std::string &name : sa.names()) {
-        if (name == "sim.calendar_overflows" ||
-            name == "sim.calendar_bucket_shift")
-            continue;
-        EXPECT_EQ(sa.get(name), sb.get(name)) << label << ": " << name;
-    }
-}
-
-TEST(CalendarGeometry, BucketShiftNeverChangesModelStats)
-{
-    WorkloadParams p = goldenParams();
-    p.seed = 42;
-    for (MemModel m : {MemModel::CC, MemModel::STR}) {
-        SystemConfig base = goldenConfig(m);
-        RunResult a = runWorkload("stress", base, p);
-
-        SystemConfig wide = base;
-        wide.eq.bucketShift = 12;
-        RunResult b = runWorkload("stress", wide, p);
-
-        ASSERT_TRUE(a.verified && b.verified);
-        EXPECT_EQ(b.stats.calendarBucketShift, 12u);
-        expectModelStatsIdentical(a.stats, b.stats, to_string(m));
-        EXPECT_DOUBLE_EQ(a.energy.totalMj(), b.energy.totalMj());
-    }
-}
-
-TEST(CalendarGeometry, AutoTuneIsBitIdenticalToItsChosenShift)
-{
-    WorkloadParams p = goldenParams();
-    p.seed = 42;
-    SystemConfig base = goldenConfig(MemModel::CC);
-
-    SystemConfig tuned = base;
-    tuned.eq.autoTune = true;
-    RunResult t = runWorkload("stress", tuned, p);
-    ASSERT_TRUE(t.verified);
-
-    // Rerun with the shift the tuner picked, statically configured:
-    // the auto-tuned run must be indistinguishable, dry-run and all.
-    SystemConfig pinned = base;
-    pinned.eq.bucketShift =
-        std::uint32_t(t.stats.calendarBucketShift);
-    RunResult s = runWorkload("stress", pinned, p);
-    ASSERT_TRUE(s.verified);
-    EXPECT_EQ(t.stats.toStatSet().digest(),
-              s.stats.toStatSet().digest());
-
-    // And against the default geometry, the model stats still agree.
-    RunResult d = runWorkload("stress", base, p);
-    expectModelStatsIdentical(t.stats, d.stats, "autotune");
-}
-
 } // namespace
 } // namespace cmpmem

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -170,120 +169,6 @@ TEST(EventQueue, FarFutureEventsOverflowAndStillFireInOrder)
     ASSERT_EQ(fired.size(), 4u);
     EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
     EXPECT_EQ(fired.back(), horizon * 3);
-}
-
-TEST(EventQueue, SetBucketShiftValidates)
-{
-    EventQueue eq;
-    EXPECT_EQ(eq.bucketShift(), EventQueue::kDefaultBucketShift);
-    eq.setBucketShift(12);
-    EXPECT_EQ(eq.bucketShift(), 12u);
-    EXPECT_EQ(eq.horizonTicks(), Tick(1024) << 12);
-
-    // Out-of-range shifts are config errors.
-    EXPECT_THROW(eq.setBucketShift(EventQueue::kMinBucketShift - 1),
-                 SimError);
-    EXPECT_THROW(eq.setBucketShift(EventQueue::kMaxBucketShift + 1),
-                 SimError);
-
-    // Geometry is per-run: once the queue has been used, changing it
-    // is a model error.
-    eq.schedule(10, [] {});
-    EXPECT_THROW(eq.setBucketShift(8), SimError);
-}
-
-TEST(EventQueue, BucketShiftIsOrderInvariant)
-{
-    // The same far-future event stream under two geometries must
-    // dispatch in the same global order with the same totals; only
-    // the overflow count (a host-performance telemetry) may differ.
-    auto drive = [](unsigned shift) {
-        EventQueue eq;
-        eq.setBucketShift(shift);
-        std::vector<Tick> fired;
-        struct Chain
-        {
-            EventQueue *eq;
-            std::vector<Tick> *fired;
-            std::uint64_t left;
-            Tick stride;
-
-            void
-            arm(Tick when)
-            {
-                eq->schedule(when, [this, when] {
-                    fired->push_back(when);
-                    if (--left)
-                        arm(when + stride);
-                });
-            }
-        };
-        std::vector<Chain> chains(8);
-        for (std::size_t i = 0; i < chains.size(); ++i) {
-            chains[i] = {&eq, &fired, 200, Tick(300000 + 40001 * i)};
-            chains[i].arm(Tick(i));
-        }
-        eq.run();
-        return std::tuple(fired, eq.executed(), eq.now(),
-                          eq.calendarOverflows());
-    };
-
-    auto [fired8, n8, end8, ovf8] = drive(8);
-    auto [fired12, n12, end12, ovf12] = drive(12);
-    EXPECT_EQ(fired8, fired12);
-    EXPECT_EQ(n8, n12);
-    EXPECT_EQ(end8, end12);
-    // 16x wider buckets: most hops now land inside the ring.
-    EXPECT_LT(ovf12, ovf8);
-}
-
-TEST(EventQueue, RecommendBucketShiftCoversObservedHorizon)
-{
-    // Cold queue (no overflows): keep the current geometry.
-    EventQueue cold;
-    for (Tick t = 1; t <= 100; ++t)
-        cold.schedule(t * 100, [] {});
-    cold.run();
-    EXPECT_EQ(cold.calendarOverflows(), 0u);
-    EXPECT_EQ(cold.recommendBucketShift(), cold.bucketShift());
-
-    // Hot queue: every hop of a 300k-tick-stride chain overflows the
-    // default ~262k window; the recommendation must widen the ring
-    // enough to cover the observed horizon.
-    EventQueue hot;
-    struct Chain
-    {
-        EventQueue *eq;
-        std::uint64_t left;
-
-        void
-        arm(Tick when)
-        {
-            eq->schedule(when, [this, when] {
-                if (--left)
-                    arm(when + 300000);
-            });
-        }
-    };
-    Chain c{&hot, 500};
-    c.arm(0);
-    hot.run();
-    EXPECT_GT(hot.calendarOverflows(), 0u);
-
-    unsigned tuned = hot.recommendBucketShift();
-    EXPECT_GT(tuned, hot.bucketShift());
-    EXPECT_GE(Tick(1024) << tuned, hot.overflowHorizon());
-
-    // Replaying the stream under the tuned geometry keeps the same
-    // totals and (here) eliminates the overflows entirely.
-    EventQueue replay;
-    replay.setBucketShift(tuned);
-    Chain c2{&replay, 500};
-    c2.arm(0);
-    replay.run();
-    EXPECT_EQ(replay.executed(), hot.executed());
-    EXPECT_EQ(replay.now(), hot.now());
-    EXPECT_LT(replay.calendarOverflows(), hot.calendarOverflows());
 }
 
 TEST(EventQueue, PeakPendingTracksHighWaterMark)
