@@ -136,10 +136,9 @@ dmaStreamKernel(Context &ctx, Addr base, std::uint64_t iters)
 
 /** 4096 lines (128 KiB, 4x the 32 KiB L1): every load misses. */
 RunResult
-runMissStorm()
+runMissStorm(const SystemConfig &cfg)
 {
     constexpr std::uint64_t kLines = 4096;
-    SystemConfig cfg = makeConfig(1, MemModel::CC);
     CmpSystem sys(cfg);
     auto buf = ArrayRef<std::uint64_t>::alloc(sys.mem(),
                                               kLines * kWordsPerLine);
@@ -152,11 +151,9 @@ runMissStorm()
 
 /** The same walk with the prefetcher streaming ahead of demand. */
 RunResult
-runMergeFanin()
+runMergeFanin(const SystemConfig &cfg)
 {
     constexpr std::uint64_t kLines = 4096;
-    SystemConfig cfg = makeConfig(1, MemModel::CC);
-    cfg.hwPrefetch = true;
     CmpSystem sys(cfg);
     auto buf = ArrayRef<std::uint64_t>::alloc(sys.mem(),
                                               kLines * kWordsPerLine);
@@ -169,10 +166,9 @@ runMergeFanin()
 
 /** Two cores trade 64 shared lines turn by turn: coherence ping-pong. */
 RunResult
-runPingpong()
+runPingpong(const SystemConfig &cfg)
 {
     constexpr std::uint64_t kSharedLines = 64; // 2 KiB, fits either L1
-    SystemConfig cfg = makeConfig(2, MemModel::CC);
     CmpSystem sys(cfg);
     auto buf = ArrayRef<std::uint64_t>::alloc(sys.mem(),
                                               kSharedLines * kWordsPerLine);
@@ -187,9 +183,8 @@ runPingpong()
 
 /** Double-buffered 4 KiB get/put streaming on one STR core. */
 RunResult
-runDmaStream()
+runDmaStream(const SystemConfig &cfg)
 {
-    SystemConfig cfg = makeConfig(1, MemModel::STR);
     CmpSystem sys(cfg);
     // 64 x 4 KiB of streamed memory (see dmaStreamKernel).
     auto buf = ArrayRef<std::uint64_t>::alloc(sys.mem(),
@@ -215,27 +210,22 @@ main(int argc, char **argv)
     std::printf("Miss-path microbenchmark (misses/sec, higher is "
                 "better; miss-path allocs must be 0)\n\n");
 
+    // Each job records the configuration its rig really runs.
     std::vector<SweepJob> jobs;
-    jobs.emplace_back("miss_storm", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
-                      std::map<std::string, std::string>{
-                          {"job", "miss_storm"}},
-                      runMissStorm);
-    jobs.emplace_back("mshr_merge_fanin", "", SystemConfig{},
-                      WorkloadParams{}, std::vector<std::string>{},
-                      std::map<std::string, std::string>{
-                          {"job", "mshr_merge_fanin"}},
-                      runMergeFanin);
-    jobs.emplace_back("shared_invalidate_pingpong", "", SystemConfig{},
-                      WorkloadParams{}, std::vector<std::string>{},
-                      std::map<std::string, std::string>{
-                          {"job", "shared_invalidate_pingpong"}},
-                      runPingpong);
-    jobs.emplace_back("dma_stream", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
-                      std::map<std::string, std::string>{
-                          {"job", "dma_stream"}},
-                      runDmaStream);
+    auto add = [&jobs](const char *id, const SystemConfig &cfg,
+                       RunResult (*run)(const SystemConfig &)) {
+        jobs.emplace_back(id, "", cfg, WorkloadParams{},
+                          std::vector<std::string>{},
+                          std::map<std::string, std::string>{{"job", id}},
+                          [cfg, run] { return run(cfg); });
+    };
+    SystemConfig fanin = makeConfig(1, MemModel::CC);
+    fanin.hwPrefetch = true;
+    add("miss_storm", makeConfig(1, MemModel::CC), runMissStorm);
+    add("mshr_merge_fanin", fanin, runMergeFanin);
+    add("shared_invalidate_pingpong", makeConfig(2, MemModel::CC),
+        runPingpong);
+    add("dma_stream", makeConfig(1, MemModel::STR), runDmaStream);
 
     // Serial on purpose: misses/sec is a latency measurement, and
     // concurrent jobs would steal cache and memory bandwidth from

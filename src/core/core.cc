@@ -4,7 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "mem/l1_controller.hh"
 #include "sim/log.hh"
 
 namespace cmpmem
@@ -63,59 +62,10 @@ Core::checkDone()
 }
 
 void
-Core::advanceUseful(Cycles c)
-{
-    st.bundles += c;
-    Tick dt = clk.cyclesToTicks(c);
-    curTick += dt;
-    st.usefulTicks += dt;
-
-    // Instruction fetch: statistical I-cache misses count as Useful
-    // time per the paper's breakdown definition.
-    Tick fetch_stall = icacheModel.accrue(c);
-    if (fetch_stall) {
-        curTick += fetch_stall;
-        st.usefulTicks += fetch_stall;
-    }
-}
-
-void
-Core::advanceIssue()
-{
-    Tick dt = clk.period();
-    curTick += dt;
-    st.usefulTicks += dt;
-    Tick fetch_stall = icacheModel.accrue(1);
-    if (fetch_stall) {
-        curTick += fetch_stall;
-        st.usefulTicks += fetch_stall;
-    }
-}
-
-void
 Core::advanceUsefulTicks(Tick t)
 {
     curTick += t;
     st.usefulTicks += t;
-}
-
-void
-Core::applySnoopStalls()
-{
-    if (!dcachePtr)
-        return;
-    Cycles c = dcachePtr->takeSnoopStallCycles();
-    if (c) {
-        Tick dt = clk.cyclesToTicks(c);
-        curTick += dt;
-        st.loadStallTicks += dt;
-    }
-}
-
-bool
-Core::needsQuantumFlush() const
-{
-    return curTick > globalNow() + quantumTicks;
 }
 
 void

@@ -24,6 +24,7 @@
 #include <functional>
 
 #include "core/icache_model.hh"
+#include "mem/l1_controller.hh"
 #include "sim/callback.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
@@ -33,7 +34,6 @@
 namespace cmpmem
 {
 
-class L1Controller;
 class DmaEngine;
 class LocalStore;
 class CoherenceFabric;
@@ -124,23 +124,59 @@ class Core
     // Methods below are the contract with Context awaitables.
     //
 
+    // The per-access bookkeeping below runs on every load and store
+    // of the inline micro path, so it lives in this header
+    // (DESIGN.md §13).
+
     /** Advance local time by @p c cycles of Useful work. */
-    void advanceUseful(Cycles c);
+    void
+    advanceUseful(Cycles c)
+    {
+        st.bundles += c;
+        Tick dt = clk.cyclesToTicks(c);
+        curTick += dt;
+        st.usefulTicks += dt;
+        // Instruction fetch: statistical I-cache misses count as
+        // Useful time per the paper's breakdown definition.
+        chargeFetchStall(icacheModel.accrue(c));
+    }
 
     /**
      * Charge the issue cycle of one memory instruction (a bundle
      * with the load/store slot occupied).
      */
-    void advanceIssue();
+    void
+    advanceIssue()
+    {
+        Tick dt = clk.period();
+        curTick += dt;
+        st.usefulTicks += dt;
+        chargeFetchStall(icacheModel.accrue(1));
+    }
 
     /** Charge @p t ticks of Useful time (icache stalls etc.). */
     void advanceUsefulTicks(Tick t);
 
     /** Consume pending snoop-occupancy stalls from the D-cache. */
-    void applySnoopStalls();
+    void
+    applySnoopStalls()
+    {
+        if (!dcachePtr)
+            return;
+        Cycles c = dcachePtr->takeSnoopStallCycles();
+        if (c) {
+            Tick dt = clk.cyclesToTicks(c);
+            curTick += dt;
+            st.loadStallTicks += dt;
+        }
+    }
 
     /** Does local time exceed global time by more than the quantum? */
-    bool needsQuantumFlush() const;
+    bool
+    needsQuantumFlush() const
+    {
+        return curTick > globalNow() + quantumTicks;
+    }
 
     /**
      * Record that the kernel is about to suspend waiting for an
@@ -165,6 +201,13 @@ class Core
     void noteSuspended(std::coroutine_handle<> h) { suspendedAt = h; }
 
   private:
+    void
+    chargeFetchStall(Tick fetch_stall)
+    {
+        curTick += fetch_stall;
+        st.usefulTicks += fetch_stall;
+    }
+
     void resumeKernel(Tick when);
 
     /**

@@ -31,7 +31,7 @@ struct ICacheConfig
 class ICacheModel
 {
   public:
-    explicit ICacheModel(const ICacheConfig &cfg);
+    explicit ICacheModel(const ICacheConfig &config) : cfg(config) {}
 
     /** Set by the workload variant before the kernel starts. */
     void setMissesPerKiloInstr(double mpki) { this->mpki = mpki; }
@@ -41,7 +41,22 @@ class ICacheModel
      * Account for @p bundles issued instruction bundles.
      * @return the fetch-stall ticks to charge the core.
      */
-    Tick accrue(std::uint64_t bundles);
+    Tick
+    accrue(std::uint64_t bundles)
+    {
+        numFetches += bundles;
+        if (mpki <= 0.0)
+            return 0;
+
+        missCredit += double(bundles) * mpki / 1000.0;
+        if (missCredit < 1.0)
+            return 0;
+
+        auto misses = static_cast<std::uint64_t>(missCredit);
+        missCredit -= double(misses);
+        numMisses += misses;
+        return Tick(misses) * cfg.missLatency;
+    }
 
     std::uint64_t fetches() const { return numFetches; }
     std::uint64_t misses() const { return numMisses; }

@@ -1,6 +1,7 @@
 #include "mem/l1_controller.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -49,6 +50,27 @@ void
 CoherenceFabric::registerL1(L1Controller *l1)
 {
     assert(int(l1s.size()) == l1->coreId());
+    assert(l1->coreId() < numCores);
+    // Presence filter sizing: 16 buckets per L1 frame, so a core
+    // occupies at most 1/16 of the buckets and most non-holders read
+    // a zero count. The bucket bits cover the set-index bits, so a
+    // bucket's lines share one set and a count never exceeds the
+    // associativity.
+    const CacheGeometry &g = l1->tags().geometry();
+    const std::size_t buckets = std::size_t(16) * g.sizeBytes / g.lineBytes;
+    if (l1s.empty()) {
+        if (g.assoc > 255)
+            throwSimError(SimErrorKind::Config,
+                          "coherent L1 associativity %u exceeds the snoop "
+                          "presence filter's 8-bit counts",
+                          g.assoc);
+        presenceLineShift = std::uint32_t(std::countr_zero(g.lineBytes));
+        presenceMask = buckets - 1;
+        presenceLimit = g.assoc;
+        presence.assign(buckets * std::size_t(numCores), 0);
+    }
+    assert(buckets == presenceMask + 1 && g.assoc == presenceLimit &&
+           "coherent L1s share one geometry");
     l1s.push_back(l1);
 }
 
@@ -140,10 +162,17 @@ CoherenceFabric::snoopCluster(int cluster, int requester, Addr line,
     int supplier = -1;
     int lo = cluster * clusterSize;
     int hi = std::min(lo + clusterSize, int(l1s.size()));
+    const std::uint8_t *held = &presence[presenceIndex(line, 0)];
     for (int j = lo; j < hi; ++j) {
         if (j == requester)
             continue;
         ++stats.snoopProbes;
+        if (held[j] == 0) {
+            // No valid line of this bucket, so not this one: skip
+            // the tag lookup, keep the snoop's accounting.
+            l1s[j]->snoopAbsent(line);
+            continue;
+        }
         auto res = l1s[j]->snoop(line, invalidate);
         if (res.had) {
             if (supplier < 0 || res.dirty) {
@@ -376,12 +405,6 @@ L1Controller::L1Controller(int core_id, const L1Config &config,
     });
 }
 
-Cycles
-L1Controller::takeSnoopStallCycles()
-{
-    return std::exchange(snoopStallCycles, 0);
-}
-
 void
 L1Controller::attachChecker(CoherenceChecker *c)
 {
@@ -412,24 +435,28 @@ L1Controller::forgeStateForTest(Addr addr, MesiState state)
 {
     Addr line = array.lineAddr(addr);
     CacheArray::Line *l = array.lookup(line);
+    bool was_valid = l != nullptr;
     if (!l) {
         CacheArray::Victim victim;
         l = &array.allocate(line, victim);
+        if (cfg.coherent && victim.valid)
+            fabric.noteAbsent(id, victim.addr);
     }
     l->state = state; // deliberately bypasses every checker hook
+    // ...but not the presence filter, which must match the tags.
+    if (cfg.coherent && was_valid != l->valid()) {
+        if (was_valid)
+            fabric.noteAbsent(id, line);
+        else
+            fabric.notePresent(id, line);
+    }
     microInvalidate();
 }
 
 L1Controller::SnoopResult
 L1Controller::snoop(Addr line, bool invalidate)
 {
-    ++stats.snoopsReceived;
-    snoopStallCycles += 1; // snoops occupy the cache for one cycle
-
-    // Both snoop outcomes (invalidate, downgrade) break the micro
-    // entry's premises; drop it before touching the state.
-    if (line == micro.addr)
-        microInvalidate();
+    snoopAbsent(line); // the part every snoop pays, holder or not
 
     CacheArray::Line *l = array.lookup(line);
     if (!l)
@@ -442,6 +469,8 @@ L1Controller::snoop(Addr line, bool invalidate)
     if (invalidate) {
         l->state = MesiState::Invalid;
         ++stats.invalidationsReceived;
+        if (cfg.coherent)
+            fabric.noteAbsent(id, line);
     } else if (l->state == MesiState::Modified ||
                l->state == MesiState::Exclusive) {
         l->state = MesiState::Shared;
@@ -473,6 +502,8 @@ L1Controller::install(Tick t, Addr line, MesiState state, bool prefetched,
     if (&l == micro.line)
         microInvalidate(); // the micro entry's frame was re-tagged
     if (victim.valid) {
+        if (cfg.coherent)
+            fabric.noteAbsent(id, victim.addr);
         note(checker, t, id, victim.addr, victim.state,
              MesiState::Invalid, CoherenceChecker::Cause::Evict);
         if (victim.dirty) {
@@ -482,6 +513,8 @@ L1Controller::install(Tick t, Addr line, MesiState state, bool prefetched,
     }
     l.state = state;
     l.flags = prefetched ? flagPrefetched : 0;
+    if (cfg.coherent)
+        fabric.notePresent(id, line);
     note(checker, t, id, line, MesiState::Invalid, state, cause);
     ++stats.fills;
 }

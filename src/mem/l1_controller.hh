@@ -20,9 +20,11 @@
 #ifndef CMPMEM_MEM_L1_CONTROLLER_HH
 #define CMPMEM_MEM_L1_CONTROLLER_HH
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "check/coherence_checker.hh"
@@ -187,7 +189,63 @@ class CoherenceFabric : public Diagnosable
     const FabricCounters &counters() const { return stats; }
     const InterconnectConfig &netConfig() const { return net; }
 
+    //
+    // Snoop presence filter (DESIGN.md §21). A host-only table of how
+    // many valid lines each coherent L1 holds in each hashed line
+    // bucket. A zero count proves the core does not hold any line of
+    // the bucket, so snoopCluster() hands it L1Controller::snoopAbsent
+    // instead of a tag lookup. L1s keep it exact by reporting every
+    // valid <-> invalid transition of a line.
+    //
+
+    /** Coherent L1 @p core_id gained a valid copy of @p line. */
+    void
+    notePresent(int core_id, Addr line)
+    {
+        std::uint8_t &n = presence[presenceIndex(line, core_id)];
+        assert(n < presenceLimit && "presence count above associativity");
+        ++n;
+    }
+
+    /** Coherent L1 @p core_id dropped its valid copy of @p line. */
+    void
+    noteAbsent(int core_id, Addr line)
+    {
+        std::uint8_t &n = presence[presenceIndex(line, core_id)];
+        assert(n > 0 && "presence count underflow");
+        --n;
+    }
+
+    /** Filter buckets (0 until a coherent L1 registers). */
+    std::size_t
+    presenceBuckets() const
+    {
+        return presence.size() / std::size_t(numCores);
+    }
+
+    /** The bucket that holds @p line's counts. */
+    std::size_t
+    presenceBucket(Addr line) const
+    {
+        return std::size_t(line >> presenceLineShift) & presenceMask;
+    }
+
+    /** Valid lines core @p core_id holds in @p bucket. */
+    unsigned
+    presenceCount(std::size_t bucket, int core_id) const
+    {
+        return presence[bucket * std::size_t(numCores) +
+                        std::size_t(core_id)];
+    }
+
   private:
+    std::size_t
+    presenceIndex(Addr line, int core_id) const
+    {
+        return presenceBucket(line) * std::size_t(numCores) +
+               std::size_t(core_id);
+    }
+
     /**
      * Snoop every coherent L1 in @p cluster except @p requester.
      * @return the id of a core that can supply the line, or -1;
@@ -221,6 +279,16 @@ class CoherenceFabric : public Diagnosable
     CoherenceChecker *checker = nullptr;
     FaultInjector *faults = nullptr;
     FabricCounters stats;
+
+    /**
+     * Presence counts, bucket-major (one row of numCores counts per
+     * bucket, so a cluster's snoop reads one contiguous run). Sized
+     * by the first coherent L1 to register.
+     */
+    std::vector<std::uint8_t> presence;
+    std::uint32_t presenceLineShift = 0;
+    std::size_t presenceMask = 0;
+    unsigned presenceLimit = 0; ///< the L1 associativity
 };
 
 /** Configuration for one first-level cache controller. */
@@ -367,13 +435,35 @@ class L1Controller : public Diagnosable
     SnoopResult snoop(Addr line, bool invalidate);
 
     /**
+     * The non-holder part of snoop(), which every snoop pays: count
+     * it, charge the one-cycle occupancy, and drop a micro entry for
+     * the line. The fabric calls it alone for a peer its presence
+     * filter proves does not hold @p line, exactly what snoop()'s
+     * missing tag lookup would have done.
+     */
+    void
+    snoopAbsent(Addr line)
+    {
+        ++stats.snoopsReceived;
+        snoopStallCycles += 1; // snoops occupy the cache for one cycle
+        // Both snoop outcomes (invalidate, downgrade) break the micro
+        // entry's premises; drop it before touching the state.
+        if (line == micro.addr)
+            microInvalidate();
+    }
+
+    /**
      * Account for dirty lines at the end of a run (write-backs that
      * would eventually happen) so traffic totals are drain-invariant.
      */
     std::uint64_t drainDirty(Tick t);
 
     /** Consume snoop-induced stall cycles accumulated since last call. */
-    Cycles takeSnoopStallCycles();
+    Cycles
+    takeSnoopStallCycles()
+    {
+        return std::exchange(snoopStallCycles, 0);
+    }
 
     const L1Counters &counters() const { return stats; }
     const L1Config &config() const { return cfg; }

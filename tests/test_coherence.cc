@@ -183,6 +183,51 @@ TEST_F(CoherenceFixture, SnoopsChargeStallCycles)
     EXPECT_EQ(l1s[0]->takeSnoopStallCycles(), 0u); // consumed
 }
 
+TEST_F(CoherenceFixture, FilteredSnoopKeepsNonHolderAccounting)
+{
+    build(8); // two clusters: one local and one global broadcast
+    load(0, 0x1000);
+    const std::size_t bucket = fabric->presenceBucket(0x1000);
+    EXPECT_EQ(fabric->presenceCount(bucket, 0), 1u);
+    EXPECT_EQ(fabric->counters().snoopProbes, 7u);
+    for (int c = 1; c < 8; ++c) {
+        // Every peer is a non-holder the filter answers for, and
+        // each still sees the snoop and its one-cycle occupancy.
+        EXPECT_EQ(fabric->presenceCount(bucket, c), 0u) << c;
+        EXPECT_EQ(l1s[c]->counters().snoopsReceived, 1u) << c;
+        EXPECT_EQ(l1s[c]->takeSnoopStallCycles(), 1u) << c;
+        EXPECT_EQ(l1s[c]->takeSnoopStallCycles(), 0u) << c;
+    }
+    EXPECT_EQ(l1s[0]->counters().snoopsReceived, 0u);
+}
+
+TEST_F(CoherenceFixture, ForgedLinesAreSnoopedThroughFilter)
+{
+    build(4);
+    const std::size_t bucket = fabric->presenceBucket(0x2000);
+    l1s[1]->forgeStateForTest(0x2000, MesiState::Exclusive);
+    EXPECT_EQ(fabric->presenceCount(bucket, 1), 1u);
+
+    load(0, 0x2000); // found, supplied, downgraded
+    EXPECT_EQ(l1s[1]->counters().suppliesProvided, 1u);
+    EXPECT_EQ(state(1, 0x2000), MesiState::Shared);
+    EXPECT_EQ(state(0, 0x2000), MesiState::Shared);
+
+    l1s[2]->forgeStateForTest(0x2000, MesiState::Shared);
+    store(0, 0x2000); // the upgrade invalidates both forged copies
+    EXPECT_EQ(state(0, 0x2000), MesiState::Modified);
+    EXPECT_EQ(state(1, 0x2000), MesiState::Invalid);
+    EXPECT_EQ(state(2, 0x2000), MesiState::Invalid);
+    EXPECT_EQ(l1s[1]->counters().invalidationsReceived, 1u);
+    EXPECT_EQ(l1s[2]->counters().invalidationsReceived, 1u);
+    EXPECT_EQ(fabric->presenceCount(bucket, 1), 0u);
+    EXPECT_EQ(fabric->presenceCount(bucket, 2), 0u);
+
+    // Forging a line Invalid removes it from the filter too.
+    l1s[0]->forgeStateForTest(0x2000, MesiState::Invalid);
+    EXPECT_EQ(fabric->presenceCount(bucket, 0), 0u);
+}
+
 TEST_F(CoherenceFixture, DirtyEvictionWritesBack)
 {
     build(1);

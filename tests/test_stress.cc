@@ -138,6 +138,75 @@ TEST(StressHarness, HiddenFromWorkloadSweeps)
 }
 
 //
+// Snoop presence filter (DESIGN.md §21): after a checked run its
+// per-bucket counts must equal the valid lines in every L1's tags.
+//
+
+void
+runAndAuditPresence(const char *workload, int cores, WorkloadParams p,
+                    bool prefetch = false, bool pfs = false)
+{
+    SCOPED_TRACE(workload);
+    SystemConfig cfg = makeConfig(cores, MemModel::CC);
+    cfg.checkCoherence = true;
+    cfg.hwPrefetch = prefetch;
+    cfg.pfsEnabled = pfs;
+    CmpSystem sys(cfg);
+    auto w = createWorkload(workload, p);
+    w->setup(sys);
+    for (int i = 0; i < sys.cores(); ++i)
+        sys.bindKernel(i, w->kernel(sys.context(i)));
+    sys.simulate();
+    EXPECT_TRUE(w->verify(sys));
+    EXPECT_EQ(sys.checker()->violations(), 0u);
+
+    const CoherenceFabric &fab = sys.fabric();
+    const std::size_t buckets = fab.presenceBuckets();
+    ASSERT_GT(buckets, 0u);
+    std::size_t valid = 0;
+    std::size_t mismatches = 0;
+    for (int c = 0; c < sys.cores(); ++c) {
+        std::vector<unsigned> want(buckets, 0);
+        sys.core(c).dcache()->tags().forEachValid(
+            [&](const CacheArray::Line &l) {
+                ++want[fab.presenceBucket(l.tag)];
+                ++valid;
+            });
+        for (std::size_t b = 0; b < buckets; ++b) {
+            if (fab.presenceCount(b, c) != want[b] && mismatches++ == 0)
+                ADD_FAILURE() << "core " << c << " bucket " << b
+                              << ": filter " << fab.presenceCount(b, c)
+                              << ", tags " << want[b];
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GT(valid, 0u); // the audit was not vacuous
+}
+
+TEST(SnoopFilter, MatchesTagArrays)
+{
+    WorkloadParams p;
+    p.scale = 0;
+    p.seed = 13;
+    p.sharingDegree = 8;
+    runAndAuditPresence("stress", 16, p);
+    p.seed = 17;
+    p.sharingDegree = 2;
+    runAndAuditPresence("stress", 4, p, /*prefetch=*/true, /*pfs=*/true);
+    WorkloadParams fem;
+    fem.scale = 0;
+    runAndAuditPresence("fem", 16, fem);
+}
+
+TEST(SnoopFilter, OnlyCoherentCachesAllocateIt)
+{
+    CmpSystem cc(makeConfig(16, MemModel::CC));
+    EXPECT_GT(cc.fabric().presenceBuckets(), 0u);
+    CmpSystem str(makeConfig(16, MemModel::STR));
+    EXPECT_EQ(str.fabric().presenceBuckets(), 0u);
+}
+
+//
 // Checker self-validation on a hand-built stack. Traffic here is
 // sequential (eq.run() after every operation), so there are no
 // issue-time-snoop overlaps: any violation the checker reports in
