@@ -89,9 +89,8 @@ storeBurstKernel(Context &ctx, Addr base, std::uint64_t iters)
 
 /** One line, loads only: the micro-path best case. */
 RunResult
-runHitLoop()
+runHitLoop(const SystemConfig &cfg)
 {
-    SystemConfig cfg = makeConfig(1, MemModel::CC);
     CmpSystem sys(cfg);
     auto buf = ArrayRef<std::uint64_t>::alloc(sys.mem(), kWordsPerLine);
     double t0 = threadCpuSeconds();
@@ -103,10 +102,9 @@ runHitLoop()
 
 /** 128 lines (4 KiB, L1-resident), line-stride sweep. */
 RunResult
-runStride()
+runStride(const SystemConfig &cfg)
 {
     constexpr std::uint64_t kLines = 128;
-    SystemConfig cfg = makeConfig(1, MemModel::CC);
     CmpSystem sys(cfg);
     auto buf = ArrayRef<std::uint64_t>::alloc(sys.mem(),
                                               kLines * kWordsPerLine);
@@ -119,10 +117,9 @@ runStride()
 
 /** Dependent loads through a random single-cycle ring of 128 lines. */
 RunResult
-runChase()
+runChase(const SystemConfig &cfg)
 {
     constexpr std::uint64_t kLines = 128;
-    SystemConfig cfg = makeConfig(1, MemModel::CC);
     CmpSystem sys(cfg);
     auto ring = ArrayRef<std::uint64_t>::alloc(sys.mem(),
                                                kLines * kWordsPerLine);
@@ -147,9 +144,8 @@ runChase()
 
 /** 64-store bursts round-robin over 4 lines. */
 RunResult
-runStoreBurst()
+runStoreBurst(const SystemConfig &cfg)
 {
-    SystemConfig cfg = makeConfig(1, MemModel::CC);
     CmpSystem sys(cfg);
     auto buf = ArrayRef<std::uint64_t>::alloc(sys.mem(),
                                               4 * kWordsPerLine);
@@ -181,24 +177,20 @@ main(int argc, char **argv)
     std::printf("Memory-access microbenchmark (accesses/sec, higher is "
                 "better)\n\n");
 
+    // Each job records the configuration its rig really runs.
     std::vector<SweepJob> jobs;
-    jobs.emplace_back("hit_loop", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
-                      std::map<std::string, std::string>{{"job", "hit_loop"}},
-                      runHitLoop);
-    jobs.emplace_back("stride", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
-                      std::map<std::string, std::string>{{"job", "stride"}},
-                      runStride);
-    jobs.emplace_back("chase", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
-                      std::map<std::string, std::string>{{"job", "chase"}},
-                      runChase);
-    jobs.emplace_back("store_burst", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
-                      std::map<std::string, std::string>{
-                          {"job", "store_burst"}},
-                      runStoreBurst);
+    auto add = [&jobs](const char *id, const SystemConfig &cfg,
+                       RunResult (*run)(const SystemConfig &)) {
+        jobs.emplace_back(id, "", cfg, WorkloadParams{},
+                          std::vector<std::string>{},
+                          std::map<std::string, std::string>{{"job", id}},
+                          [cfg, run] { return run(cfg); });
+    };
+    const SystemConfig cfg = makeConfig(1, MemModel::CC);
+    add("hit_loop", cfg, runHitLoop);
+    add("stride", cfg, runStride);
+    add("chase", cfg, runChase);
+    add("store_burst", cfg, runStoreBurst);
 
     // Serial on purpose: accesses/sec is a latency measurement, and
     // concurrent jobs would steal cache and memory bandwidth from

@@ -52,7 +52,6 @@ benches=(
     ablation_interconnect
     ablation_dram
     ablation_hybrid
-    policy_space
     micro_events
     micro_access
     micro_miss

@@ -40,7 +40,7 @@ cd "$(dirname "$0")/.."
 
 # The benches with committed baselines; keep in step with the
 # cmpmem_gate() entries in bench/CMakeLists.txt and DESIGN.md §14.
-gate_benches="micro_events micro_access micro_miss micro_fabric table3 policy_space fig2_scaling fig3_traffic"
+gate_benches="micro_events micro_access micro_miss micro_fabric table3 fig2_scaling fig3_traffic"
 
 full=0
 update=0
@@ -140,12 +140,6 @@ if [[ "${full}" -eq 1 ]]; then
         -j "${jobs}" -R 'test_sweep|test_supervisor|gate_resume'
     run_config build-sanitize "-LE perf" -DCMAKE_BUILD_TYPE=Release \
         -DCMPMEM_SANITIZE=ON
-    echo "==> policy smoke sweep (sanitized, one workload, all points)"
-    # Every policy point exercises its own allocate/prefetch code
-    # under ASan+UBSan; one workload keeps the sanitized run quick.
-    CMPMEM_SCALE=0 CMPMEM_POLICY_WORKLOAD=fir \
-        CMPMEM_ARTIFACT_DIR=build-sanitize \
-        build-sanitize/bench/policy_space >/dev/null
     echo "==> fault-injection stress pass (sanitized, scale 2)"
     CMPMEM_FAULT_SCALE=2 ctest --test-dir build-sanitize \
         --output-on-failure -j "${jobs}" -R test_faults_stress

@@ -81,33 +81,18 @@ EnergyModel::compute(const RunStats &rs) const
     }
 
     //
-    // Hardware prefetcher state (CC only; the streaming model's DMA
-    // engines are charged above). The engine is probed on every
-    // demand miss (train + predict) and on every useful prefetch
-    // (confirmation re-probe); pick the per-probe energy and leakage
-    // of whichever structure the config instantiates. Off by
-    // default-config construction when hwPrefetch is false, so the
-    // default energy numbers are unchanged.
+    // Hardware stream-prefetcher state (CC only; the streaming
+    // model's DMA engines are charged above). The stream table is
+    // probed on every demand miss (train + predict) and on every
+    // useful prefetch (confirmation re-probe). Off by default-config
+    // construction when hwPrefetch is false, so the default energy
+    // numbers are unchanged.
     //
     if (cc && cfg.hwPrefetch) {
-        double probe_pj = p.streamTableAccessPj;
-        double leak_mw = p.streamTableLeakMw;
-        switch (cfg.policy.prefetch) {
-          case PrefetchPolicy::Markov:
-            probe_pj = p.markovTableAccessPj;
-            leak_mw = p.markovLeakMw;
-            break;
-          case PrefetchPolicy::StreamBuffer:
-            probe_pj = p.streamBufferAccessPj;
-            leak_mw = p.streamBufferLeakMw;
-            break;
-          case PrefetchPolicy::Stream:
-            break;
-        }
         double probes = double(l1.demandMisses()) +
                         double(l1.prefetchesUseful);
-        e.dstoreMj += probes * probe_pj * pjToMj;
-        e.dstoreMj += leakMj(leak_mw * n, t);
+        e.dstoreMj += probes * p.streamTableAccessPj * pjToMj;
+        e.dstoreMj += leakMj(p.streamTableLeakMw * n, t);
     }
 
     //

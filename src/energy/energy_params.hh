@@ -56,18 +56,14 @@ struct EnergyParams
     double dmaAccessPj = 6.0;
 
     //
-    // Prefetcher state machines (CC model, hwPrefetch on). Sized
-    // from the structures in prefetch/: the derivation against the
-    // published CACTI-style numbers above is logged in
+    // Stream-prefetcher state machine (CC model, hwPrefetch on).
+    // Sized from the structure in prefetch/: the derivation against
+    // the published CACTI-style numbers above is logged in
     // EXPERIMENTS.md ("Prefetcher energy derivation").
     //
 
     /** Stream-table probe: ~12 registers of tags and strides. */
     double streamTableAccessPj = 3.0;
-    /** Markov row access: ~3 KB direct-mapped correlation table. */
-    double markovTableAccessPj = 11.0;
-    /** Stream-buffer CAM probe: 4 buffers x 4 line-address entries. */
-    double streamBufferAccessPj = 5.0;
 
     //
     // Static (leakage) power, milliwatts per structure instance.
@@ -81,11 +77,9 @@ struct EnergyParams
     double l2LeakMw = 9.0;         ///< whole 512 KB L2
     double dramBackgroundMw = 50.0;
 
-    /** Per-core prefetcher leakage, scaled from smallCacheLeakMw
-     *  (0.25 mW / 8 KB) by structure size. */
-    double streamTableLeakMw = 0.02;  ///< ~0.1 KB of registers
-    double markovLeakMw = 0.22;       ///< ~3 KB correlation table
-    double streamBufferLeakMw = 0.05; ///< ~0.5 KB of line buffers
+    /** Per-core stream-table leakage, scaled from smallCacheLeakMw
+     *  (0.25 mW / 8 KB) by structure size (~0.1 KB of registers). */
+    double streamTableLeakMw = 0.02;
 };
 
 } // namespace cmpmem

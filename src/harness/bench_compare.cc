@@ -185,60 +185,31 @@ class Comparer
     }
 
     /**
-     * Per-field config comparison. Cache-policy fields get a hard
-     * refusal (throwSimError) rather than an identity issue: a
-     * cross-policy diff is a category error — every stat would
-     * "regress", drowning real findings — exactly like the scale
-     * refusal in checkEnvelope(). Other field mismatches are
-     * reported per field so the report names what drifted.
+     * Per-field config comparison, reported per field so the report
+     * names what drifted.
      */
     void
     compareConfig(const std::string &id, const JsonValue &bcfg,
                   const JsonValue &fcfg)
     {
-        static const std::set<std::string> policyFields = {
-            "l1_replacement", "l2_replacement", "prefetch_policy",
-            "bip_throttle"};
-
         auto render = [](const JsonValue &v) {
             return v.isString() ? v.asString() : v.dump();
         };
 
         for (const auto &[name, bval] : bcfg.members()) {
             const JsonValue *fval = fcfg.find(name);
-            std::string bs = render(bval);
             if (fval && bval.dump() == fval->dump())
                 continue;
-            if (policyFields.count(name)) {
-                throwSimError(
-                    SimErrorKind::Config,
-                    "refusing to compare job '%s': cache-policy "
-                    "field '%s' differs (baseline %s, fresh %s) — "
-                    "policy changes legitimately change simulated "
-                    "stats, so diff within one policy point instead",
-                    id.c_str(), name.c_str(), bs.c_str(),
-                    fval ? render(*fval).c_str() : "(absent)");
-            }
             identity(id, "config." + name,
-                     fval ? fmt("baseline %s, fresh %s", bs.c_str(),
+                     fval ? fmt("baseline %s, fresh %s",
+                                render(bval).c_str(),
                                 render(*fval).c_str())
                           : "present in baseline, missing from fresh");
         }
         for (const auto &[name, fval] : fcfg.members()) {
-            if (bcfg.find(name))
-                continue;
-            if (policyFields.count(name)) {
-                throwSimError(
-                    SimErrorKind::Config,
-                    "refusing to compare job '%s': cache-policy "
-                    "field '%s' is absent from the baseline (fresh "
-                    "%s) — regenerate baselines with scripts/"
-                    "check.sh --update-baselines",
-                    id.c_str(), name.c_str(),
-                    render(fval).c_str());
-            }
-            identity(id, "config." + name,
-                     "missing from baseline, present in fresh");
+            if (!bcfg.find(name))
+                identity(id, "config." + name,
+                         "missing from baseline, present in fresh");
         }
     }
 

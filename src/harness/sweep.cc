@@ -80,17 +80,6 @@ configIdentityJson(const SystemConfig &cfg)
            fmt("%llu", (unsigned long long)cfg.quantumCycles);
     out += ", \"line_bytes\": " + fmt("%u", unsigned(cfg.lineBytes));
     out += ", \"cluster_size\": " + fmt("%d", cfg.clusterSize);
-    // Cache-policy identity: bench_compare refuses to diff artifacts
-    // produced under different policies (same rationale as the
-    // scale fields in toJson()).
-    out += ", \"l1_replacement\": " +
-           jstr(to_string(cfg.policy.l1Replacement));
-    out += ", \"l2_replacement\": " +
-           jstr(to_string(cfg.policy.l2Replacement));
-    out += ", \"prefetch_policy\": " +
-           jstr(to_string(cfg.policy.prefetch));
-    out += ", \"bip_throttle\": " +
-           fmt("%u", unsigned(cfg.policy.bipThrottle));
     out += "}";
     return out;
 }
@@ -226,40 +215,6 @@ SweepSpec::modelAxis(std::vector<MemModel> models)
                         [m](SweepJob &job) { job.cfg.model = m; }});
     }
     return axis("model", std::move(vals));
-}
-
-std::vector<PolicyPoint>
-defaultPolicyPoints()
-{
-    using R = ReplacementPolicy;
-    using P = PrefetchPolicy;
-    return {
-        {"lru", R::LRU, R::LRU, P::Stream, true},
-        {"mip", R::MIP, R::MIP, P::Stream, true},
-        {"lip", R::LIP, R::LIP, P::Stream, true},
-        {"bip", R::BIP, R::BIP, P::Stream, true},
-        {"markov", R::LRU, R::LRU, P::Markov, true},
-        {"sbuf", R::LRU, R::LRU, P::StreamBuffer, true},
-    };
-}
-
-SweepSpec &
-SweepSpec::policyAxis(std::vector<PolicyPoint> pts)
-{
-    std::vector<AxisValue> vals;
-    for (const PolicyPoint &pt : pts) {
-        vals.push_back({pt.label, [pt](SweepJob &job) {
-            job.cfg.policy.l1Replacement = pt.l1Replacement;
-            job.cfg.policy.l2Replacement = pt.l2Replacement;
-            job.cfg.policy.prefetch = pt.prefetch;
-            // validate() rejects hwPrefetch under the streaming
-            // model, so the request only lands on CC jobs; this is
-            // why policyAxis must come after modelAxis.
-            job.cfg.hwPrefetch =
-                pt.hwPrefetch && job.cfg.model == MemModel::CC;
-        }});
-    }
-    return axis("policy", std::move(vals));
 }
 
 SweepSpec &

@@ -129,32 +129,6 @@ struct AxisValue
 };
 
 /**
- * One point of the cache-policy axis (SweepSpec::policyAxis):
- * replacement policy per level plus the prefetch algorithm.
- */
-struct PolicyPoint
-{
-    std::string label; ///< axis label ("lru", "bip", "markov", ...)
-    ReplacementPolicy l1Replacement = ReplacementPolicy::LRU;
-    ReplacementPolicy l2Replacement = ReplacementPolicy::LRU;
-    PrefetchPolicy prefetch = PrefetchPolicy::Stream;
-
-    /**
-     * Request hardware prefetching. Applied only to CC-model jobs
-     * (SystemConfig::validate() rejects hwPrefetch under STR), so
-     * STR points still sweep the replacement policies.
-     */
-    bool hwPrefetch = false;
-};
-
-/**
- * The canonical six-point policy axis of the policy_space bench: the
- * four insertion/replacement policies under the paper's stream
- * prefetcher, plus the two alternative prefetch engines under LRU.
- */
-std::vector<PolicyPoint> defaultPolicyPoints();
-
-/**
  * A declarative sweep: base config/params, a workload list, named
  * axes expanded as a cross-product, and/or explicit points.
  */
@@ -185,16 +159,6 @@ class SweepSpec
     /** Convenience axis over the two memory models. */
     SweepSpec &modelAxis(std::vector<MemModel> models = {MemModel::CC,
                                                          MemModel::STR});
-
-    /**
-     * Cache-policy axis: each point sets the L1/L2 replacement
-     * policy, the prefetch algorithm, and (CC only) hwPrefetch.
-     * Because a point's hwPrefetch gating reads job.cfg.model, call
-     * modelAxis() (or fix base().model) *before* adding this axis —
-     * axes apply in insertion order.
-     */
-    SweepSpec &policyAxis(std::vector<PolicyPoint> points =
-                              defaultPolicyPoints());
 
     /**
      * Explicit point, run alongside the cross-product jobs. The
@@ -400,9 +364,8 @@ std::string journalPath(const std::string &name);
 
 /**
  * The config-identity JSON object recorded per job in artifacts and
- * journal records — exactly the fields bench_compare diffs (and
- * hard-refuses on policy mismatch), so "same config identity" means
- * the same thing to the gate and to resume.
+ * journal records — exactly the fields bench_compare diffs, so "same
+ * config identity" means the same thing to the gate and to resume.
  */
 std::string configIdentityJson(const SystemConfig &cfg);
 

@@ -25,12 +25,8 @@ log2Exact(std::uint32_t x)
 }
 } // namespace
 
-CacheArray::CacheArray(const CacheGeometry &g, const ReplacementConfig &r)
-    : geom(g), repl(r), rng(r.seed)
+CacheArray::CacheArray(const CacheGeometry &g) : geom(g)
 {
-    if (repl.bipThrottle == 0)
-        throwSimError(SimErrorKind::Config,
-                      "BIP throttle must be at least 1");
     // Each field must be a power of two individually: pow2 sets can
     // emerge from a non-pow2 size/assoc pair only via the silently
     // truncating division in sets(), which would index a different
@@ -84,15 +80,29 @@ CacheArray::peek(Addr addr) const
     return nullptr;
 }
 
-template <typename Traits>
 CacheArray::Line &
-CacheArray::allocateImpl(Addr addr, Victim &victim)
+CacheArray::allocate(Addr addr, Victim &victim)
 {
-    assert(lookup(addr) == nullptr && "allocating a duplicate tag");
-
+    Addr la = lineAddr(addr);
     std::uint32_t si = setIndex(addr);
     Line *set = &lines[std::size_t(si) << assocShift];
-    std::uint32_t way = Traits::victimWay(set, geom.assoc);
+
+    // One walk of the set finds the first invalid way and the LRU
+    // way, and checks the no-duplicate-tag precondition on the way.
+    std::uint32_t way = geom.assoc; // first invalid way, if any
+    std::uint32_t lru = 0;
+    for (std::uint32_t w = 0; w < geom.assoc; ++w) {
+        if (!set[w].valid()) {
+            if (way == geom.assoc)
+                way = w;
+            continue;
+        }
+        assert(set[w].tag != la && "allocating a duplicate tag");
+        if (set[w].lruStamp < set[lru].lruStamp)
+            lru = w;
+    }
+    if (way == geom.assoc)
+        way = lru;
     Line *pick = &set[way];
 
     victim.valid = pick->valid();
@@ -100,31 +110,13 @@ CacheArray::allocateImpl(Addr addr, Victim &victim)
     victim.addr = pick->tag;
     victim.state = pick->state;
 
-    pick->tag = lineAddr(addr);
+    pick->tag = la;
     pick->state = MesiState::Invalid;
     pick->flags = 0;
-    pick->lruStamp = Traits::insertionStamp(lruClock, rng, repl);
-    // The hit hint always tracks the fill (host-only: the demand
-    // that triggered it is about to access this way), even when the
-    // policy inserts at the recency-stack bottom.
+    pick->lruStamp = ++lruClock;
+    // The demand that triggered the fill is about to access this way.
     mruWay[si] = way;
     return *pick;
-}
-
-CacheArray::Line &
-CacheArray::allocate(Addr addr, Victim &victim)
-{
-    switch (repl.policy) {
-      case ReplacementPolicy::LRU:
-        return allocateImpl<LruTraits>(addr, victim);
-      case ReplacementPolicy::MIP:
-        return allocateImpl<MipTraits>(addr, victim);
-      case ReplacementPolicy::LIP:
-        return allocateImpl<LipTraits>(addr, victim);
-      case ReplacementPolicy::BIP:
-        return allocateImpl<BipTraits>(addr, victim);
-    }
-    return allocateImpl<LruTraits>(addr, victim); // unreachable
 }
 
 void

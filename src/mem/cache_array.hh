@@ -1,8 +1,7 @@
 /**
  * @file
- * Set-associative tag/state array with trait-dispatched replacement
- * (true LRU by default; see mem/cache_policy.hh for the policy
- * space).
+ * Set-associative tag/state array with true-LRU replacement (the
+ * paper's policy).
  *
  * cmpmem caches carry timing and coherence *metadata* only; data
  * values live in FunctionalMemory (see functional_memory.hh for the
@@ -16,8 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "mem/cache_policy.hh"
-#include "sim/rng.hh"
 #include "sim/types.hh"
 
 namespace cmpmem
@@ -86,11 +83,9 @@ class CacheArray
         MesiState state = MesiState::Invalid; ///< state when displaced
     };
 
-    explicit CacheArray(const CacheGeometry &geom,
-                        const ReplacementConfig &repl = {});
+    explicit CacheArray(const CacheGeometry &geom);
 
     const CacheGeometry &geometry() const { return geom; }
-    const ReplacementConfig &replacement() const { return repl; }
 
     /** Line-align an address. */
     Addr lineAddr(Addr a) const { return a & ~Addr(geom.lineBytes - 1); }
@@ -122,17 +117,10 @@ class CacheArray
     /**
      * Mark @p line most recently used. Also records the line's way
      * as the set's hit hint, so the next lookup probes it first.
-     *
-     * Deliberately policy-agnostic: every supported replacement
-     * policy (cache_policy.hh) promotes to MRU on a demand hit, so
-     * the hit path — including the memory-access fast path built on
-     * this inline function — never pays a policy dispatch.
      */
     void
     touch(Line &line)
     {
-        static_assert(LruEvictionBase::promoteOnHit,
-                      "touch() assumes hit promotion is policy-agnostic");
         line.lruStamp = ++lruClock;
         std::size_t idx = std::size_t(&line - lines.data());
         mruWay[idx >> assocShift] =
@@ -140,15 +128,14 @@ class CacheArray
     }
 
     /**
-     * Claim a frame for @p addr, evicting a victim chosen by the
-     * configured replacement policy if necessary (LRU way under
-     * every supported policy). The displaced line (if any) is
-     * described in @p victim. The returned line is re-tagged to
-     * @p addr, left Invalid (the caller sets the state), and stamped
-     * by the policy's insertion rule — MRU for LRU/MIP, stack bottom
-     * for LIP, bimodal for BIP.
+     * Claim a frame for @p addr: the set's first invalid way, else
+     * its least recently used way (stamp ties go to the lowest way).
+     * The displaced line (if any) is described in @p victim. The
+     * returned line is re-tagged to @p addr, left Invalid (the caller
+     * sets the state), and stamped most recently used.
      *
-     * @pre lookup(addr) == nullptr (no duplicate tags).
+     * @pre lookup(addr) == nullptr (no duplicate tags; asserted
+     * during the victim scan).
      */
     Line &allocate(Addr addr, Victim &victim);
 
@@ -196,13 +183,7 @@ class CacheArray
         return std::uint32_t(addr >> lineShift) & setMask;
     }
 
-    /** allocate() body, instantiated per policy trait. */
-    template <typename Traits>
-    Line &allocateImpl(Addr addr, Victim &victim);
-
     CacheGeometry geom;
-    ReplacementConfig repl;
-    Rng rng; ///< drawn only by BIP's bimodal insertion choice
     std::uint32_t lineShift = 0;  ///< log2(lineBytes)
     std::uint32_t setMask = 0;    ///< sets - 1
     std::uint32_t assocShift = 0; ///< log2(assoc)

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "faults/fault_injector.hh"
-#include "prefetch/prefetcher.hh"
 #include "sim/log.hh"
 #include "sim/sim_error.hh"
 
@@ -390,10 +389,12 @@ L1Controller::L1Controller(int core_id, const L1Config &config,
       cfg(config),
       eq(event_queue),
       fabric(coherence_fabric),
-      array(config.geom, config.repl),
+      array(config.geom),
       mshr(config.mshrs),
       sb(config.storeBufferEntries)
 {
+    if (cfg.prefetch)
+        prefetcher.emplace(*cfg.prefetch);
     if (cfg.coherent)
         fabric.registerL1(this);
     // Part of the micro path's invalidation contract: a draining

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "mem/l2_cache.hh"
 #include "mem/mshr.hh"
 #include "mem/store_buffer.hh"
+#include "prefetch/stream_prefetcher.hh"
 #include "sim/callback.hh"
 #include "sim/diagnosable.hh"
 #include "sim/event_queue.hh"
@@ -44,7 +46,6 @@ namespace cmpmem
 
 class FaultInjector;
 class L1Controller;
-class Prefetcher;
 
 /** Classification of first-level accesses (for stats and energy). */
 enum class AccessKind : std::uint8_t
@@ -310,8 +311,8 @@ struct L1Config
      */
     bool fastPath = true;
 
-    /** Replacement policy of the tag array (DESIGN.md §15). */
-    ReplacementConfig repl;
+    /** Hardware stream prefetcher (CC model, when enabled). */
+    std::optional<PrefetcherConfig> prefetch;
 };
 
 /**
@@ -329,9 +330,6 @@ class L1Controller : public Diagnosable
 
     L1Controller(int core_id, const L1Config &cfg, EventQueue &eq,
                  CoherenceFabric &fabric);
-
-    /** Attach a hardware prefetcher (CC model, when enabled). */
-    void setPrefetcher(Prefetcher *pf) { prefetcher = pf; }
 
     /**
      * Attach the runtime coherence checker: registers this cache's
@@ -561,7 +559,7 @@ class L1Controller : public Diagnosable
     CacheArray array;
     MshrFile mshr;
     StoreBuffer sb;
-    Prefetcher *prefetcher = nullptr;
+    std::optional<StreamPrefetcher> prefetcher;
     CoherenceChecker *checker = nullptr;
     Cycles snoopStallCycles = 0;
     MicroEntry micro;

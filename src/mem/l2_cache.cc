@@ -23,14 +23,9 @@ L2Cache::L2Cache(const L2Config &c, DramChannel &dram_channel)
     geom.sizeBytes = cfg.sizeBytes / cfg.banks;
     geom.assoc = cfg.assoc;
     geom.lineBytes = cfg.lineBytes;
-    for (std::uint32_t b = 0; b < cfg.banks; ++b) {
-        // Salt the (BIP) seed per bank so banks don't make lock-step
-        // bimodal choices; irrelevant to the other policies.
-        ReplacementConfig repl = cfg.repl;
-        repl.seed += b;
+    for (std::uint32_t b = 0; b < cfg.banks; ++b)
         bankArray.push_back(std::make_unique<Bank>(
-            geom, repl, "l2_bank" + std::to_string(b)));
-    }
+            geom, "l2_bank" + std::to_string(b)));
 }
 
 int

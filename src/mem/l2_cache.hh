@@ -34,13 +34,6 @@ struct L2Config
     std::uint32_t banks = 4;
     Tick accessLatency = 2200;  ///< ps (2.2 ns)
     Tick portOccupancy = 1250;  ///< ps per access per bank port
-
-    /**
-     * Replacement policy of the bank tag arrays (filled from
-     * SystemConfig::policy by finalize(); the seed is salted per
-     * bank on construction).
-     */
-    ReplacementConfig repl;
 };
 
 /**
@@ -113,9 +106,8 @@ class L2Cache : public Diagnosable
   private:
     struct Bank
     {
-        Bank(const CacheGeometry &geom, const ReplacementConfig &repl,
-             const std::string &name)
-            : tags(geom, repl), port(name)
+        Bank(const CacheGeometry &geom, const std::string &name)
+            : tags(geom), port(name)
         {}
         CacheArray tags;
         Resource port;

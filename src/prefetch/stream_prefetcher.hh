@@ -13,20 +13,29 @@
 #include <cstdint>
 #include <vector>
 
-#include "prefetch/prefetcher.hh"
 #include "sim/types.hh"
 
 namespace cmpmem
 {
 
+/** Sizing of the stream prefetcher. */
+struct PrefetcherConfig
+{
+    std::uint32_t lineBytes = 32;
+    std::uint32_t historyEntries = 8; ///< recent misses remembered
+    std::uint32_t streams = 4;        ///< streams tracked at once
+    std::uint32_t depth = 4; ///< lines to run ahead of the latest miss
+};
+
 /**
- * The paper's prefetch engine (PrefetchPolicy::Stream).
+ * The paper's prefetch engine: a deterministic state machine over its
+ * inputs, so runs stay bit-reproducible.
  *
  * The controller feeds it demand misses and first-use hits on
  * prefetched lines (the "tag" in tagged prefetching); it returns the
  * line addresses to fetch.
  */
-class StreamPrefetcher : public Prefetcher
+class StreamPrefetcher
 {
   public:
     explicit StreamPrefetcher(const PrefetcherConfig &cfg);
@@ -34,13 +43,13 @@ class StreamPrefetcher : public Prefetcher
     /**
      * A demand miss on @p line occurred. @return lines to prefetch.
      */
-    std::vector<Addr> onMiss(Addr line) override;
+    std::vector<Addr> onMiss(Addr line);
 
     /**
      * A demand access hit a line the prefetcher installed; advance
      * the owning stream. @return lines to prefetch.
      */
-    std::vector<Addr> onPrefetchHit(Addr line) override;
+    std::vector<Addr> onPrefetchHit(Addr line);
 
     const PrefetcherConfig &config() const { return cfg; }
 

@@ -45,28 +45,16 @@ CmpSystem::CmpSystem(const SystemConfig &config) : cfg(config)
         l1c.storeBufferEntries = cfg.storeBufferEntries;
         l1c.cyclePeriod = clock.period();
         l1c.fastPath = cfg.memFastPath;
-        l1c.repl.policy = cfg.policy.l1Replacement;
-        l1c.repl.bipThrottle = cfg.policy.bipThrottle;
-        // Salt the (BIP) seed per core so sibling L1s don't make
-        // lock-step bimodal choices.
-        l1c.repl.seed = cfg.policy.policySeed + std::uint64_t(i);
-        l1Vec.push_back(
-            std::make_unique<L1Controller>(i, l1c, eq, *fab));
-        if (check)
-            l1Vec.back()->attachChecker(check.get());
-
         if (cc && cfg.hwPrefetch) {
             PrefetcherConfig pc;
             pc.lineBytes = cfg.lineBytes;
             pc.depth = cfg.prefetchDepth;
-            pc.markovRows = cfg.policy.markovRows;
-            pc.markovSuccessors = cfg.policy.markovSuccessors;
-            pc.streamBuffers = cfg.policy.streamBuffers;
-            pc.streamBufferDepth = cfg.policy.streamBufferDepth;
-            prefetchers.push_back(
-                makePrefetcher(cfg.policy.prefetch, pc));
-            l1Vec.back()->setPrefetcher(prefetchers.back().get());
+            l1c.prefetch = pc;
         }
+        l1Vec.push_back(
+            std::make_unique<L1Controller>(i, l1c, eq, *fab));
+        if (check)
+            l1Vec.back()->attachChecker(check.get());
 
         LocalStore *ls = nullptr;
         DmaEngine *dma = nullptr;

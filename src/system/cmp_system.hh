@@ -19,7 +19,6 @@
 #include "mem/functional_memory.hh"
 #include "mem/l1_controller.hh"
 #include "mem/l2_cache.hh"
-#include "prefetch/prefetcher.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "system/config.hh"
@@ -205,7 +204,6 @@ class CmpSystem
     std::unique_ptr<CoherenceFabric> fab;
     std::unique_ptr<CoherenceChecker> check;
     std::unique_ptr<FaultInjector> faultInj;
-    std::vector<std::unique_ptr<Prefetcher>> prefetchers;
     std::vector<std::unique_ptr<L1Controller>> l1Vec;
     std::vector<std::unique_ptr<LocalStore>> lsVec;
     std::vector<std::unique_ptr<DmaEngine>> dmaVec;

@@ -28,21 +28,6 @@ SystemConfig::validate() const
     if (pfsEnabled && model == MemModel::STR)
         throwSimError(SimErrorKind::Config,
                       "PFS stores apply to the cache-based model");
-    if (policy.bipThrottle < 1)
-        throwSimError(SimErrorKind::Config,
-                      "BIP throttle must be at least 1");
-    if (policy.markovRows == 0 ||
-        (policy.markovRows & (policy.markovRows - 1)) != 0)
-        throwSimError(SimErrorKind::Config,
-                      "Markov table rows must be a power of two (got %u)",
-                      policy.markovRows);
-    if (policy.markovSuccessors < 1)
-        throwSimError(SimErrorKind::Config,
-                      "Markov table needs at least one successor slot");
-    if (policy.streamBuffers < 1 || policy.streamBufferDepth < 1)
-        throwSimError(SimErrorKind::Config,
-                      "stream buffers need at least one buffer of "
-                      "depth one");
     if (faults.enabled) {
         if (faults.dramBitFlipProb < 0 || faults.dramBitFlipProb >= 1 ||
             faults.netNackProb < 0 || faults.netNackProb >= 1 ||
@@ -60,9 +45,6 @@ SystemConfig::finalize()
 {
     ctx.pfsEnabled = pfsEnabled;
     l2.lineBytes = lineBytes;
-    l2.repl.policy = policy.l2Replacement;
-    l2.repl.bipThrottle = policy.bipThrottle;
-    l2.repl.seed = policy.policySeed;
     dram.granuleBytes = lineBytes;
     dma.accessBytes = lineBytes;
 }

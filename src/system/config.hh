@@ -12,52 +12,15 @@
 #include "core/icache_model.hh"
 #include "energy/energy_params.hh"
 #include "faults/fault_config.hh"
-#include "mem/cache_policy.hh"
 #include "mem/dram.hh"
 #include "mem/interconnect.hh"
 #include "mem/l2_cache.hh"
-#include "prefetch/prefetcher.hh"
 #include "sim/clock.hh"
 #include "sim/types.hh"
 #include "stream/dma_engine.hh"
 
 namespace cmpmem
 {
-
-/**
- * Cache-policy descriptors (DESIGN.md §15): the replacement/
- * insertion policy of each cache level and the hardware-prefetch
- * algorithm, plus their sizing knobs. The defaults reproduce the
- * paper's fixed policy point — true LRU everywhere and the tagged
- * sequential stream prefetcher — bit-identically (pinned by the
- * golden digests in tests/test_golden.cc).
- */
-struct CachePolicyConfig
-{
-    ReplacementPolicy l1Replacement = ReplacementPolicy::LRU;
-    ReplacementPolicy l2Replacement = ReplacementPolicy::LRU;
-
-    /** Prefetch algorithm used when hwPrefetch is on (CC model). */
-    PrefetchPolicy prefetch = PrefetchPolicy::Stream;
-
-    /** BIP: one in this many insertions goes to MRU. */
-    std::uint32_t bipThrottle = 32;
-
-    /**
-     * Seed of BIP's bimodal RNG. The wiring salts it per structure
-     * (core id for L1s, bank index for L2 banks), so sibling caches
-     * do not make lock-step bimodal choices.
-     */
-    std::uint64_t policySeed = 1;
-
-    /** Markov correlation table: rows (power of two) x successors. */
-    std::uint32_t markovRows = 256;
-    std::uint32_t markovSuccessors = 2;
-
-    /** Jouppi stream buffers: count x depth in lines. */
-    std::uint32_t streamBuffers = 4;
-    std::uint32_t streamBufferDepth = 4;
-};
 
 /**
  * Configuration of a simulated CMP. Defaults are the bold values of
@@ -74,9 +37,6 @@ struct SystemConfig
     /** Hardware prefetcher (CC model; off unless stated). */
     bool hwPrefetch = false;
     std::uint32_t prefetchDepth = 4;
-
-    /** Replacement/prefetch policy selection (DESIGN.md §15). */
-    CachePolicyConfig policy;
 
     /** Honour non-allocating stores (PrepareForStore). */
     bool pfsEnabled = false;

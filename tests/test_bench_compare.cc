@@ -309,32 +309,10 @@ TEST(BenchCompare, RefusesDifferentSizings)
     }
 }
 
-TEST(BenchCompare, RefusesCrossPolicyDiffNamingTheField)
+TEST(BenchCompare, ConfigDriftNamesTheField)
 {
-    // A policy change is a different experiment, not a regression:
-    // the gate must refuse the comparison outright (like a sizing
-    // mismatch), naming the policy field and both values.
-    JsonValue base = makeArtifact();
-    JsonValue fresh = base;
-    jobNamed(fresh, "alpha")
-        .at("config")
-        .set("l1_replacement", JsonValue::makeString("MIP"));
-    try {
-        compareArtifacts(base, {fresh});
-        FAIL() << "compared across replacement policies";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), SimErrorKind::Config);
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("l1_replacement"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("MIP"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("LRU"), std::string::npos) << msg;
-    }
-}
-
-TEST(BenchCompare, NonPolicyConfigDriftNamesTheField)
-{
-    // Other config drift stays a per-field identity issue so the
-    // report says exactly what moved.
+    // Config drift is a per-field identity issue so the report says
+    // exactly what moved.
     JsonValue base = makeArtifact();
     JsonValue fresh = base;
     jobNamed(fresh, "alpha")

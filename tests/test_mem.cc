@@ -208,6 +208,39 @@ TEST(CacheArray, ForEachDirtyCleansLines)
     EXPECT_EQ(c.forEachDirty([&](Addr) {}), 0u); // now clean
 }
 
+TEST(CacheArray, AllocatingDuplicateTagAsserts)
+{
+    // allocate()'s victim scan checks the no-duplicate-tag
+    // precondition on every valid way, not only the one it evicts.
+    CacheArray c({1024, 2, 32});
+    const Addr setStride = 32 * 16;
+    CacheArray::Victim v;
+    c.allocate(0, v).state = MesiState::Exclusive;
+    c.allocate(setStride, v).state = MesiState::Exclusive;
+    EXPECT_DEBUG_DEATH(c.allocate(setStride + 8, v), "duplicate tag");
+}
+
+TEST(CacheArrayPeek, NoSideEffectsOnReplacement)
+{
+    // peek() and the const lookup alias must not promote: the LRU
+    // line stays the victim however often it is probed. The
+    // non-const lookup may move the MRU-way hint, but the hint is
+    // host-only and must not change victims either.
+    CacheArray arr({4 * 32, 4, 32}); // one 4-way set
+    CacheArray::Victim v;
+    for (Addr a = 0; a < 4 * 32; a += 32)
+        arr.allocate(a, v).state = MesiState::Exclusive;
+    const CacheArray &carr = arr;
+    for (int k = 0; k < 8; ++k) {
+        EXPECT_NE(arr.peek(0), nullptr);
+        EXPECT_NE(carr.lookup(0), nullptr);
+        EXPECT_NE(arr.lookup(0), nullptr); // hint moves, stamps don't
+    }
+    arr.allocate(0x1000, v);
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(v.addr, 0u);
+}
+
 TEST(CacheArray, RejectsNonPowerOfTwoGeometry)
 {
     // Set indexing is a shift+mask, so every geometry field must be
