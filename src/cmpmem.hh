@@ -24,8 +24,6 @@
 #include "core/core.hh"
 #include "core/sync.hh"
 #include "energy/energy_model.hh"
-#include "faults/fault_config.hh"
-#include "faults/fault_injector.hh"
 #include "harness/bench_compare.hh"
 #include "harness/experiment.hh"
 #include "harness/json.hh"

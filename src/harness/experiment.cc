@@ -1,5 +1,9 @@
 #include "harness/experiment.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,12 +20,44 @@ namespace
 {
 
 /** Process-wide overrides from parseBenchArgs(). */
-FaultConfig benchFaults;
 WatchdogConfig benchWatchdog;
 bool benchIsolate = false;
 bool benchResume = false;
 int benchRetries = 1;
 double benchDeadline = 0;
+
+/**
+ * Parse a whole flag value as a decimal integer no larger than
+ * @p max. Rejects an empty value, a sign, trailing text and overflow
+ * (which strtoull would otherwise read as 0, negate or saturate).
+ */
+bool
+parseCount(const char *s, unsigned long long max, unsigned long long &out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(*s)))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(s, &end, 10);
+    if (*end != '\0' || errno == ERANGE || v > max)
+        return false;
+    out = v;
+    return true;
+}
+
+/** Parse a whole flag value as a finite non-negative number. */
+bool
+parseSeconds(const char *s, double &out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(*s)) && *s != '.')
+        return false;
+    char *end = nullptr;
+    double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || !std::isfinite(v))
+        return false;
+    out = v;
+    return true;
+}
 
 } // namespace
 
@@ -30,26 +66,27 @@ parseBenchArgs(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (std::strcmp(arg, "--faults") == 0) {
-            benchFaults = stressFaultConfig(1);
-        } else if (std::strncmp(arg, "--faults=", 9) == 0) {
-            benchFaults = stressFaultConfig(
-                std::strtoull(arg + 9, nullptr, 0));
-        } else if (std::strncmp(arg, "--watchdog-ticks=", 17) == 0) {
-            benchWatchdog.maxTicks =
-                std::strtoull(arg + 17, nullptr, 0);
+        unsigned long long n = 0;
+        bool ok = true;
+        if (std::strncmp(arg, "--watchdog-ticks=", 17) == 0) {
+            ok = parseCount(arg + 17, ULLONG_MAX, n);
+            benchWatchdog.maxTicks = n;
         } else if (std::strcmp(arg, "--isolate") == 0) {
             benchIsolate = true;
         } else if (std::strcmp(arg, "--resume") == 0) {
             benchResume = true;
         } else if (std::strncmp(arg, "--retries=", 10) == 0) {
-            benchRetries = std::atoi(arg + 10);
+            ok = parseCount(arg + 10, INT_MAX, n);
+            benchRetries = int(n);
         } else if (std::strncmp(arg, "--deadline=", 11) == 0) {
-            benchDeadline = std::strtod(arg + 11, nullptr);
+            ok = parseSeconds(arg + 11, benchDeadline);
         } else {
-            fatal("%s: unknown argument '%s' (supported: "
-                  "--faults[=SEED], --watchdog-ticks=N, --isolate, "
-                  "--resume, --retries=N, --deadline=SECS)",
+            ok = false;
+        }
+        if (!ok) {
+            fatal("%s: unknown or malformed argument '%s' (supported: "
+                  "--watchdog-ticks=N, --isolate, --resume, "
+                  "--retries=N, --deadline=SECS)",
                   argv[0], arg);
         }
     }
@@ -63,7 +100,6 @@ makeConfig(int cores, MemModel model, double ghz, double dram_gbps)
     cfg.model = model;
     cfg.coreClockGhz = ghz;
     cfg.dram.bandwidthGBps = dram_gbps;
-    cfg.faults = benchFaults;
     cfg.watchdog = benchWatchdog;
     return cfg;
 }

@@ -21,7 +21,7 @@ namespace cmpmem
 /**
  * A Table 2 configuration with the usual experiment knobs. Also
  * applies any process-wide bench overrides recorded by
- * parseBenchArgs() (fault injection, watchdog budget).
+ * parseBenchArgs() (the watchdog budget).
  */
 SystemConfig makeConfig(int cores, MemModel model, double ghz = 0.8,
                         double dram_gbps = 3.2);
@@ -31,9 +31,6 @@ SystemConfig makeConfig(int cores, MemModel model, double ghz = 0.8,
  * process-wide overrides that makeConfig() folds into every
  * configuration it hands out:
  *
- *   --faults[=SEED]      enable the stress fault-injection config
- *                        (stressFaultConfig) with the given seed
- *                        (default 1); see DESIGN.md section 11
  *   --watchdog-ticks=N   guard every run with an N-simulated-tick
  *                        liveness budget
  *   --isolate            run every job in a forked sandbox process
@@ -46,8 +43,10 @@ SystemConfig makeConfig(int cores, MemModel model, double ghz = 0.8,
  *   --deadline=SECS      hard per-job wall-clock deadline enforced
  *                        with SIGKILL (isolation only; default none)
  *
- * Unknown arguments are fatal so typos don't silently run the
- * default experiment. Call it first thing in main().
+ * Unknown arguments and malformed values (a sign, trailing text, an
+ * empty or out-of-range number) are fatal, so typos don't silently
+ * run the default experiment or turn the watchdog off. Call it first
+ * thing in main().
  */
 void parseBenchArgs(int argc, char **argv);
 

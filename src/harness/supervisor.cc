@@ -94,19 +94,6 @@ visitFabricCounters(FC &fc, F &&f)
     f("remote_atomics", fc.remoteAtomics);
 }
 
-template <typename FS, typename F>
-void
-visitFaultStats(FS &fs, F &&f)
-{
-    f("dram_flips", fs.dramFlips);
-    f("ecc_corrected", fs.eccCorrected);
-    f("ecc_detected", fs.eccDetected);
-    f("net_nacks", fs.netNacks);
-    f("net_retries", fs.netRetries);
-    f("dma_faults", fs.dmaFaults);
-    f("dma_retries", fs.dmaRetries);
-}
-
 template <typename RS, typename F>
 void
 visitRunStatsScalars(RS &s, F &&f)
@@ -533,11 +520,6 @@ jobResultToJson(const JobResult &jr, bool include_log)
     visitFabricCounters(jr.run.stats.fabric, fw);
     stats.set("fabric", std::move(fabric));
 
-    JsonValue faults = JsonValue::makeObject();
-    FieldWriter ff{faults};
-    visitFaultStats(jr.run.stats.faults, ff);
-    stats.set("faults", std::move(faults));
-
     doc.set("stats", std::move(stats));
 
     JsonValue energy = JsonValue::makeObject();
@@ -588,9 +570,6 @@ jobResultFromJson(const JsonValue &doc, JobResult &jr)
 
     FieldReader fr{stats.at("fabric")};
     visitFabricCounters(jr.run.stats.fabric, fr);
-
-    FieldReader xr{stats.at("faults")};
-    visitFaultStats(jr.run.stats.faults, xr);
 
     FieldReader er{doc.at("energy")};
     visitEnergy(jr.run.energy, er);

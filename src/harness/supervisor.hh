@@ -67,8 +67,8 @@ bool isolationEnabled(const SweepOptions &opts);
 JobResult runJobSupervised(const SweepJob &job, const SweepOptions &opts);
 
 /**
- * Serialize a JobResult — raw RunStats (scalars, per-core, fabric,
- * fault counters), energy, outcome, and optionally the captured log
+ * Serialize a JobResult — raw RunStats (scalars, per-core, fabric
+ * counters), energy, outcome, and optionally the captured log
  * — as a JSON object that jobResultFromJson() restores bit-exactly.
  * Shared by the child->parent result pipe and the journal.
  */

@@ -90,7 +90,7 @@ struct JobResult
 
     /**
      * Error taxonomy when !ran: a SimErrorKind name ("watchdog",
-     * "deadlock", "fault", "crash", "timeout", ...) or "exception"
+     * "deadlock", "crash", "timeout", ...) or "exception"
      * for anything else.
      */
     std::string errorKind;

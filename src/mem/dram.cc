@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "faults/fault_injector.hh"
 #include "sim/sim_error.hh"
 
 namespace cmpmem
@@ -58,11 +57,7 @@ DramChannel::read(Tick when, Addr addr, std::uint32_t bytes)
     rdBytes += moved;
     ++rdCount;
     Tick start = channel.acquire(when, Tick(granules) * ticksPerGranule);
-    Tick done = start + latencyFor(addr) +
-                Tick(granules) * ticksPerGranule;
-    if (faults)
-        done += faults->dramReadPenalty(addr);
-    return done;
+    return start + latencyFor(addr) + Tick(granules) * ticksPerGranule;
 }
 
 Tick

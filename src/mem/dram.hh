@@ -17,8 +17,6 @@
 namespace cmpmem
 {
 
-class FaultInjector;
-
 /** Configuration matching the paper's Table 2 memory channel row. */
 struct DramConfig
 {
@@ -85,21 +83,12 @@ class DramChannel
     std::uint64_t rowHits() const { return numRowHits; }
     std::uint64_t rowMisses() const { return numRowMisses; }
 
-    /**
-     * Attach the system fault injector (null to detach). Reads then
-     * sample the SECDED ECC model: a corrected single-bit flip adds
-     * eccCorrectLatency, a detected double-bit flip adds a granule
-     * re-read (or throws, when configured fatal).
-     */
-    void setFaultInjector(FaultInjector *fi) { faults = fi; }
-
   private:
     /** Effective access latency for @p addr (row model aware). */
     Tick latencyFor(Addr addr);
 
     DramConfig cfg;
     Resource channel;
-    FaultInjector *faults = nullptr;
     Tick ticksPerGranule;
     std::vector<Addr> openRow; ///< per-bank open row (bank model)
     std::uint64_t rdBytes = 0;

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <utility>
 
-#include "faults/fault_injector.hh"
 #include "sim/log.hh"
 #include "sim/sim_error.hh"
 
@@ -73,66 +72,6 @@ CoherenceFabric::registerL1(L1Controller *l1)
     l1s.push_back(l1);
 }
 
-Tick
-CoherenceFabric::busXfer(Tick t, int cluster, std::uint32_t bytes)
-{
-    if (!faults)
-        return bus(cluster).transfer(t, bytes);
-    for (int attempt = 1;; ++attempt) {
-        Tick done = bus(cluster).transfer(t, bytes);
-        if (!faults->netNack())
-            return done;
-        if (attempt >= faults->config().netMaxRetries) {
-            throwSimError(SimErrorKind::Fault,
-                          "cluster bus %d transfer still NACKed after %d "
-                          "attempts",
-                          cluster, attempt);
-        }
-        faults->noteNetRetry();
-        t = done + faults->netBackoff(attempt);
-    }
-}
-
-Tick
-CoherenceFabric::xbarSend(Tick t, int cluster, std::uint32_t bytes)
-{
-    if (!faults)
-        return xbar.sendFromCluster(t, cluster, bytes);
-    for (int attempt = 1;; ++attempt) {
-        Tick done = xbar.sendFromCluster(t, cluster, bytes);
-        if (!faults->netNack())
-            return done;
-        if (attempt >= faults->config().netMaxRetries) {
-            throwSimError(SimErrorKind::Fault,
-                          "crossbar send from cluster %d still NACKed "
-                          "after %d attempts",
-                          cluster, attempt);
-        }
-        faults->noteNetRetry();
-        t = done + faults->netBackoff(attempt);
-    }
-}
-
-Tick
-CoherenceFabric::xbarDeliver(Tick t, int cluster, std::uint32_t bytes)
-{
-    if (!faults)
-        return xbar.deliverToCluster(t, cluster, bytes);
-    for (int attempt = 1;; ++attempt) {
-        Tick done = xbar.deliverToCluster(t, cluster, bytes);
-        if (!faults->netNack())
-            return done;
-        if (attempt >= faults->config().netMaxRetries) {
-            throwSimError(SimErrorKind::Fault,
-                          "crossbar delivery to cluster %d still NACKed "
-                          "after %d attempts",
-                          cluster, attempt);
-        }
-        faults->noteNetRetry();
-        t = done + faults->netBackoff(attempt);
-    }
-}
-
 std::string
 CoherenceFabric::diagnose() const
 {
@@ -197,7 +136,7 @@ CoherenceFabric::fetchLine(Tick t, int core_id, Addr line, bool exclusive,
     ++stats.clusterRequests;
 
     // Step 1: broadcast the request on the local cluster bus.
-    Tick t_req = busXfer(t, cl, net.requestBytes);
+    Tick t_req = bus(cl).transfer(t, net.requestBytes);
 
     if (coherent && !l1s.empty()) {
         bool dirty = false;
@@ -213,24 +152,25 @@ CoherenceFabric::fetchLine(Tick t, int core_id, Addr line, bool exclusive,
                 // MESI: downgraded dirty owner writes the line back.
                 writebackLine(t_req, supplier, line);
             }
-            result.done = busXfer(t_req, cl, line_bytes);
+            result.done = bus(cl).transfer(t_req, line_bytes);
             result.othersRetainCopy = retain;
             if (exclusive && !owner) {
                 // The supplier held the line Shared, so copies may
                 // exist in other clusters: a read-for-ownership must
                 // still broadcast invalidations globally and wait
                 // for the acknowledgements.
-                Tick t_global = xbarSend(t_req, cl, net.requestBytes);
+                Tick t_global =
+                    xbar.sendFromCluster(t_req, cl, net.requestBytes);
                 Tick acked = t_global;
                 for (int c2 = 0; c2 < numClusters; ++c2) {
                     if (c2 == cl)
                         continue;
-                    Tick tr = busXfer(t_global, c2, net.requestBytes);
+                    Tick tr = bus(c2).transfer(t_global, net.requestBytes);
                     bool d2 = false, o2 = false, r2 = false;
                     snoopCluster(c2, core_id, line, true, d2, o2, r2);
                     acked = std::max(acked, tr);
                 }
-                acked = xbarDeliver(acked, cl, net.requestBytes);
+                acked = xbar.deliverToCluster(acked, cl, net.requestBytes);
                 result.done = std::max(result.done, acked);
             }
             return result;
@@ -240,7 +180,7 @@ CoherenceFabric::fetchLine(Tick t, int core_id, Addr line, bool exclusive,
     // Step 2: the request goes global -- broadcast to the other
     // clusters and look up the L2 in parallel.
     ++stats.globalRequests;
-    Tick t_global = xbarSend(t_req, cl, net.requestBytes);
+    Tick t_global = xbar.sendFromCluster(t_req, cl, net.requestBytes);
 
     int remote_supplier = -1;
     int remote_cluster = -1;
@@ -250,7 +190,7 @@ CoherenceFabric::fetchLine(Tick t, int core_id, Addr line, bool exclusive,
         for (int c2 = 0; c2 < numClusters; ++c2) {
             if (c2 == cl)
                 continue;
-            Tick tr = busXfer(t_global, c2, net.requestBytes);
+            Tick tr = bus(c2).transfer(t_global, net.requestBytes);
             t_remote_snooped = std::max(t_remote_snooped, tr);
             bool dirty = false;
             bool owner = false;
@@ -274,18 +214,18 @@ CoherenceFabric::fetchLine(Tick t, int core_id, Addr line, bool exclusive,
         l1s[remote_supplier]->stats.suppliesProvided++;
         if (remote_dirty && !exclusive)
             writebackLine(t_remote_snooped, remote_supplier, line);
-        Tick t1 = busXfer(t_remote_snooped, remote_cluster, line_bytes);
-        Tick t2 = xbarSend(t1, remote_cluster, line_bytes);
-        Tick t3 = xbarDeliver(t2, cl, line_bytes);
-        result.done = busXfer(t3, cl, line_bytes);
+        Tick t1 = bus(remote_cluster).transfer(t_remote_snooped, line_bytes);
+        Tick t2 = xbar.sendFromCluster(t1, remote_cluster, line_bytes);
+        Tick t3 = xbar.deliverToCluster(t2, cl, line_bytes);
+        result.done = bus(cl).transfer(t3, line_bytes);
         return result;
     }
 
     // Step 3: L2 (and DRAM beyond it).
     bool l2_hit = false;
     Tick t_l2 = l2cache.readLine(t_global, line, l2_hit);
-    Tick t_back = xbarDeliver(t_l2, cl, line_bytes);
-    result.done = busXfer(t_back, cl, line_bytes);
+    Tick t_back = xbar.deliverToCluster(t_l2, cl, line_bytes);
+    result.done = bus(cl).transfer(t_back, line_bytes);
     return result;
 }
 
@@ -296,7 +236,7 @@ CoherenceFabric::upgradeLine(Tick t, int core_id, Addr line)
     ++stats.upgrades;
 
     // Invalidate within the cluster.
-    Tick t_req = busXfer(t, cl, net.requestBytes);
+    Tick t_req = bus(cl).transfer(t, net.requestBytes);
     bool dirty = false;
     bool owner = false;
     bool retain = false;
@@ -305,18 +245,18 @@ CoherenceFabric::upgradeLine(Tick t, int core_id, Addr line)
 
     // Upgrades cannot be satisfied within one cluster (another
     // sharer may exist anywhere), so they always broadcast globally.
-    Tick t_global = xbarSend(t_req, cl, net.requestBytes);
+    Tick t_global = xbar.sendFromCluster(t_req, cl, net.requestBytes);
     Tick done = t_global;
     for (int c2 = 0; c2 < numClusters; ++c2) {
         if (c2 == cl)
             continue;
-        Tick tr = busXfer(t_global, c2, net.requestBytes);
+        Tick tr = bus(c2).transfer(t_global, net.requestBytes);
         if (!l1s.empty())
             snoopCluster(c2, core_id, line, true, dirty, owner, retain);
         done = std::max(done, tr);
     }
     // Acknowledgement collapses back through the crossbar.
-    return xbarDeliver(done, cl, net.requestBytes);
+    return xbar.deliverToCluster(done, cl, net.requestBytes);
 }
 
 void
@@ -327,8 +267,8 @@ CoherenceFabric::writebackLine(Tick t, int core_id, Addr line)
     ++stats.writebacks;
     if (checker)
         checker->onWriteback(t, core_id, line);
-    Tick t1 = busXfer(t, cl, line_bytes);
-    Tick t2 = xbarSend(t1, cl, line_bytes);
+    Tick t1 = bus(cl).transfer(t, line_bytes);
+    Tick t2 = xbar.sendFromCluster(t1, cl, line_bytes);
     l2cache.writeLine(t2, line, line_bytes, true);
 }
 
@@ -337,12 +277,12 @@ CoherenceFabric::uncoreRead(Tick t, int cluster, Addr line,
                             std::uint32_t bytes)
 {
     ++stats.uncoreReads;
-    Tick t1 = busXfer(t, cluster, net.requestBytes);
-    Tick t2 = xbarSend(t1, cluster, net.requestBytes);
+    Tick t1 = bus(cluster).transfer(t, net.requestBytes);
+    Tick t2 = xbar.sendFromCluster(t1, cluster, net.requestBytes);
     bool hit = false;
     Tick t3 = l2cache.readLine(t2, line, hit);
-    Tick t4 = xbarDeliver(t3, cluster, bytes);
-    return busXfer(t4, cluster, bytes);
+    Tick t4 = xbar.deliverToCluster(t3, cluster, bytes);
+    return bus(cluster).transfer(t4, bytes);
 }
 
 Tick
@@ -350,8 +290,8 @@ CoherenceFabric::uncoreWrite(Tick t, int cluster, Addr line,
                              std::uint32_t bytes, bool full_line)
 {
     ++stats.uncoreWrites;
-    Tick t1 = busXfer(t, cluster, bytes);
-    Tick t2 = xbarSend(t1, cluster, bytes);
+    Tick t1 = bus(cluster).transfer(t, bytes);
+    Tick t2 = xbar.sendFromCluster(t1, cluster, bytes);
     return l2cache.writeLine(t2, line, bytes, full_line);
 }
 
@@ -363,8 +303,8 @@ CoherenceFabric::remoteAtomic(Tick t, int cluster, Addr line)
     // checker's golden copy (no requester core: the op is uncore).
     if (checker)
         checker->onStoreData(t, -1, line);
-    Tick t1 = busXfer(t, cluster, net.requestBytes);
-    Tick t2 = xbarSend(t1, cluster, net.requestBytes);
+    Tick t1 = bus(cluster).transfer(t, net.requestBytes);
+    Tick t2 = xbar.sendFromCluster(t1, cluster, net.requestBytes);
     // One L2 bank pass performs the read-modify-write at the line
     // holding the synchronization variable. The hit/miss outcome is
     // intentionally unused here: readLine already folds it into the
@@ -374,8 +314,8 @@ CoherenceFabric::remoteAtomic(Tick t, int cluster, Addr line)
     bool hit = false;
     Tick t3 = l2cache.readLine(t2, line, hit);
     (void)hit;
-    Tick t4 = xbarDeliver(t3, cluster, net.requestBytes);
-    return busXfer(t4, cluster, net.requestBytes);
+    Tick t4 = xbar.deliverToCluster(t3, cluster, net.requestBytes);
+    return bus(cluster).transfer(t4, net.requestBytes);
 }
 
 //

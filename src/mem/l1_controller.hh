@@ -44,7 +44,6 @@
 namespace cmpmem
 {
 
-class FaultInjector;
 class L1Controller;
 
 /** Classification of first-level accesses (for stats and energy). */
@@ -123,14 +122,6 @@ class CoherenceFabric : public Diagnosable
 
     /** Attach the runtime coherence checker (null to detach). */
     void attachChecker(CoherenceChecker *c) { checker = c; }
-
-    /**
-     * Attach the system fault injector (null to detach). Every bus
-     * and crossbar transfer then samples the NACK model: a NACKed
-     * transfer backs off linearly and re-arbitrates, up to
-     * netMaxRetries before SimErrorKind::Fault.
-     */
-    void setFaultInjector(FaultInjector *fi) { faults = fi; }
 
     std::string diagName() const override { return "fabric"; }
     std::string diagnose() const override;
@@ -258,16 +249,6 @@ class CoherenceFabric : public Diagnosable
                      bool invalidate, bool &supplier_was_dirty,
                      bool &supplier_was_owner, bool &others_retain);
 
-    /**
-     * Fault-aware wrappers around the raw interconnect resources.
-     * Without an injector each is exactly one transfer call, so the
-     * fault-free walk is unchanged; with one, NACKed attempts retry
-     * with linear backoff.
-     */
-    Tick busXfer(Tick t, int cluster, std::uint32_t bytes);
-    Tick xbarSend(Tick t, int cluster, std::uint32_t bytes);
-    Tick xbarDeliver(Tick t, int cluster, std::uint32_t bytes);
-
     InterconnectConfig net;
     int numCores;
     int clusterSize;
@@ -278,7 +259,6 @@ class CoherenceFabric : public Diagnosable
     Crossbar xbar;
     std::vector<L1Controller *> l1s;
     CoherenceChecker *checker = nullptr;
-    FaultInjector *faults = nullptr;
     FabricCounters stats;
 
     /**

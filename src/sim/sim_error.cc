@@ -15,7 +15,6 @@ to_string(SimErrorKind kind)
       case SimErrorKind::Model: return "model";
       case SimErrorKind::Deadlock: return "deadlock";
       case SimErrorKind::Watchdog: return "watchdog";
-      case SimErrorKind::Fault: return "fault";
       case SimErrorKind::Check: return "check";
       case SimErrorKind::Crash: return "crash";
       case SimErrorKind::Timeout: return "timeout";

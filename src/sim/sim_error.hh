@@ -5,23 +5,21 @@
  * fatal()/panic() (sim/log.hh) kill the whole process, which is the
  * right behaviour for CLI misuse and for bugs in the harness itself —
  * but a sweep runs many independent simulations, and one bad config
- * point, injected fault, or hung kernel must not take the other jobs
- * down with it. Every failure path reachable from *simulation* code
- * therefore throws SimError instead; the sweep executor
+ * point or hung kernel must not take the other jobs down with it.
+ * Every failure path reachable from *simulation* code therefore
+ * throws SimError instead; the sweep executor
  * (harness/sweep.cc) catches it per job and records a structured
  * {kind, message, diagnostic} blob in the BENCH_<name>.json artifact.
  *
  * The taxonomy (see DESIGN.md §11):
  *  - Config:   invalid user configuration (bad knob values, unknown
- *              workload, fault injection compiled out).
+ *              workload).
  *  - Model:    a kernel or model-API contract violation (DMA on a
  *              cache-model core, local-store overrun, an event
  *              scheduled in the past).
  *  - Deadlock: the event queue drained with kernels still blocked.
  *  - Watchdog: a liveness budget tripped (max ticks, host CPU time,
  *              or no forward progress); carries a diagnostic dump.
- *  - Fault:    an injected fault exhausted its recovery budget
- *              (uncorrectable ECC, NACK/DMA retry limit).
  *  - Check:    the runtime MESI checker failed fast on a violation.
  *  - Crash:    a sandboxed sweep child died without reporting a
  *              result (signal, nonzero exit, torn pipe). Only the
@@ -49,7 +47,6 @@ enum class SimErrorKind
     Model,
     Deadlock,
     Watchdog,
-    Fault,
     Check,
     Crash,
     Timeout,

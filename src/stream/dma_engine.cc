@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "faults/fault_injector.hh"
 #include "mem/functional_memory.hh"
 #include "mem/l1_controller.hh"
 #include "sim/log.hh"
@@ -105,31 +104,15 @@ DmaEngine::executeChunks(Tick t, Ticket ticket,
                                         line - std::uint32_t(a - line_addr));
             Tick start = issueSlot(t);
             Tick comp;
-            bool full = (in_line == line);
-            for (int attempt = 1;; ++attempt) {
-                if (is_get) {
-                    comp = fabric.uncoreRead(start, cluster, line_addr,
-                                             line);
-                    stats.bytesRead += line;
-                } else {
-                    comp = fabric.uncoreWrite(start, cluster, line_addr,
-                                              line, full);
-                    stats.bytesWritten += line;
-                }
-                ++stats.accesses;
-                if (!faults || !faults->dmaFault())
-                    break;
-                if (attempt >= faults->config().dmaMaxRetries) {
-                    throwSimError(SimErrorKind::Fault,
-                                  "DMA %s at 0x%llx on core %d still "
-                                  "failing after %d attempts",
-                                  is_get ? "get" : "put",
-                                  (unsigned long long)line_addr, coreId,
-                                  attempt);
-                }
-                faults->noteDmaRetry();
-                start = comp + faults->dmaBackoff(attempt);
+            if (is_get) {
+                comp = fabric.uncoreRead(start, cluster, line_addr, line);
+                stats.bytesRead += line;
+            } else {
+                comp = fabric.uncoreWrite(start, cluster, line_addr, line,
+                                          in_line == line);
+                stats.bytesWritten += line;
             }
+            ++stats.accesses;
             inFlight[(inFlightHead + inFlightCount) % inFlight.size()] =
                 comp;
             ++inFlightCount;

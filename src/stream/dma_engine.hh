@@ -31,7 +31,6 @@ namespace cmpmem
 {
 
 class CoherenceFabric;
-class FaultInjector;
 class FunctionalMemory;
 class LocalStore;
 
@@ -62,14 +61,6 @@ class DmaEngine : public Diagnosable
 
     DmaEngine(int core_id, const DmaConfig &cfg, CoherenceFabric &fabric,
               FunctionalMemory &mem, LocalStore &ls);
-
-    /**
-     * Attach the system fault injector (null to detach). Each
-     * line-granule access then samples the transfer-failure model:
-     * a failed access backs off and reissues, up to dmaMaxRetries
-     * before SimErrorKind::Fault.
-     */
-    void setFaultInjector(FaultInjector *fi) { faults = fi; }
 
     /** Sequential memory -> local store. @return completion ticket. */
     Ticket get(Tick t, Addr mem_addr, std::uint32_t ls_off,
@@ -175,7 +166,6 @@ class DmaEngine : public Diagnosable
     CoherenceFabric &fabric;
     FunctionalMemory &mem;
     LocalStore &ls;
-    FaultInjector *faults = nullptr;
 
     /** Engine command processor availability. */
     Tick engineFree = 0;

@@ -25,12 +25,6 @@ CmpSystem::CmpSystem(const SystemConfig &config) : cfg(config)
         l2cache->setObserver(check.get());
     }
 
-    if (cfg.faults.enabled) {
-        faultInj = std::make_unique<FaultInjector>(cfg.faults);
-        dramChannel->setFaultInjector(faultInj.get());
-        fab->setFaultInjector(faultInj.get());
-    }
-
     const Clock clock = cfg.coreClock();
     const bool cc = (cfg.model == MemModel::CC);
 
@@ -65,8 +59,6 @@ CmpSystem::CmpSystem(const SystemConfig &config) : cfg(config)
             dmaVec.push_back(std::make_unique<DmaEngine>(
                 i, cfg.dma, *fab, fmem, *ls));
             dma = dmaVec.back().get();
-            if (faultInj)
-                dma->setFaultInjector(faultInj.get());
         }
 
         coreVec.push_back(std::make_unique<Core>(
@@ -113,9 +105,9 @@ CmpSystem::simulate()
         else
             eq.run();
     } catch (const SimError &e) {
-        // Mid-run failures (an injected fault out of retries, a model
-        // contract violation) abandon the machine where it stands;
-        // attach the state dump if the thrower didn't already.
+        // Mid-run failures (a model contract violation) abandon the
+        // machine where it stands; attach the state dump if the
+        // thrower didn't already.
         if (e.diagnostic().empty())
             throw SimError(e.kind(), e.what(), dumpDiagnostics());
         throw;
@@ -230,9 +222,6 @@ CmpSystem::collectStats() const
         rs.checkerEvents = check->eventsObserved();
     }
 
-    if (faultInj)
-        rs.faults = faultInj->stats();
-
     rs.eventsExecuted = eq.executed();
     rs.peakPendingEvents = eq.peakPending();
     rs.calendarOverflows = eq.calendarOverflows();
@@ -330,20 +319,9 @@ RunStats::toStatSet() const
     s.set("offchip_bytes_per_sec", offChipBytesPerSec());
     s.set("checker.violations", double(checkerViolations));
     s.set("checker.events", double(checkerEvents));
-    s.set("faults.dram_flips", double(faults.dramFlips));
-    s.set("faults.ecc_corrected", double(faults.eccCorrected));
-    s.set("faults.ecc_detected", double(faults.eccDetected));
-    s.set("faults.net_nacks", double(faults.netNacks));
-    s.set("faults.net_retries", double(faults.netRetries));
-    s.set("faults.dma_faults", double(faults.dmaFaults));
-    s.set("faults.dma_retries", double(faults.dmaRetries));
     s.set("sim.events_executed", double(eventsExecuted));
     s.set("sim.peak_pending_events", double(peakPendingEvents));
     s.set("sim.calendar_overflows", double(calendarOverflows));
-    // The fixed geometry, kept so every recorded digest holds (0 when
-    // no event queue ran, as for the micro_fabric replays).
-    s.set("sim.calendar_bucket_shift",
-          eventsExecuted ? double(EventQueue::kBucketShift) : 0.0);
     if (resource.acquires > 0) {
         s.set("resource.acquires", double(resource.acquires));
         s.set("resource.tail_grants", double(resource.tailGrants));

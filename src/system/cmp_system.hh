@@ -14,7 +14,6 @@
 #include "check/coherence_checker.hh"
 #include "core/context.hh"
 #include "core/core.hh"
-#include "faults/fault_injector.hh"
 #include "mem/dram.hh"
 #include "mem/functional_memory.hh"
 #include "mem/l1_controller.hh"
@@ -80,9 +79,6 @@ struct RunStats
     /** Runtime MESI checker results (zero when not attached). */
     std::uint64_t checkerViolations = 0;
     std::uint64_t checkerEvents = 0;
-
-    /** Fault-injection outcomes (all zero when faults are disabled). */
-    FaultStats faults;
 
     /**
      * Host-throughput telemetry from the event engine. All three are
@@ -163,10 +159,6 @@ class CmpSystem
     CoherenceChecker *checker() { return check.get(); }
     const CoherenceChecker *checker() const { return check.get(); }
 
-    /** The fault injector (null unless cfg.faults.enabled). */
-    FaultInjector *faultInjector() { return faultInj.get(); }
-    const FaultInjector *faultInjector() const { return faultInj.get(); }
-
     /** Attach core @p i's kernel coroutine. */
     void bindKernel(int i, KernelTask task);
 
@@ -203,7 +195,6 @@ class CmpSystem
     std::unique_ptr<L2Cache> l2cache;
     std::unique_ptr<CoherenceFabric> fab;
     std::unique_ptr<CoherenceChecker> check;
-    std::unique_ptr<FaultInjector> faultInj;
     std::vector<std::unique_ptr<L1Controller>> l1Vec;
     std::vector<std::unique_ptr<LocalStore>> lsVec;
     std::vector<std::unique_ptr<DmaEngine>> dmaVec;

@@ -28,16 +28,6 @@ SystemConfig::validate() const
     if (pfsEnabled && model == MemModel::STR)
         throwSimError(SimErrorKind::Config,
                       "PFS stores apply to the cache-based model");
-    if (faults.enabled) {
-        if (faults.dramBitFlipProb < 0 || faults.dramBitFlipProb >= 1 ||
-            faults.netNackProb < 0 || faults.netNackProb >= 1 ||
-            faults.dmaFaultProb < 0 || faults.dmaFaultProb >= 1)
-            throwSimError(SimErrorKind::Config,
-                          "fault probabilities must lie in [0, 1)");
-        if (faults.netMaxRetries < 1 || faults.dmaMaxRetries < 1)
-            throwSimError(SimErrorKind::Config,
-                          "fault retry limits must be at least 1");
-    }
 }
 
 void

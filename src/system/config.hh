@@ -11,7 +11,6 @@
 #include "core/context.hh"
 #include "core/icache_model.hh"
 #include "energy/energy_params.hh"
-#include "faults/fault_config.hh"
 #include "mem/dram.hh"
 #include "mem/interconnect.hh"
 #include "mem/l2_cache.hh"
@@ -21,6 +20,34 @@
 
 namespace cmpmem
 {
+
+/**
+ * Liveness watchdog budgets for one simulation (all off by default;
+ * the guarded run mode only engages when some budget is set, so
+ * default runs take the plain EventQueue::run() path).
+ */
+struct WatchdogConfig
+{
+    /** Simulated-tick budget from the start of the run (0 = off). */
+    Tick maxTicks = 0;
+
+    /** Host thread-CPU-seconds budget (0 = off). */
+    double maxHostSeconds = 0;
+
+    /**
+     * Forward-progress check: every this many executed events, the
+     * instructions-retired probe must have advanced (0 = off). A
+     * budget catches runaway kernels; the progress check catches
+     * livelocks where events fire but no core retires anything.
+     */
+    std::uint64_t progressCheckEvents = 0;
+
+    bool engaged() const
+    {
+        return maxTicks != 0 || maxHostSeconds > 0 ||
+               progressCheckEvents != 0;
+    }
+};
 
 /**
  * Configuration of a simulated CMP. Defaults are the bold values of
@@ -78,13 +105,6 @@ struct SystemConfig
     ICacheConfig icache;
     ContextConfig ctx;
     EnergyParams energy;
-
-    /**
-     * Deterministic fault injection (see src/faults/). Disabled by
-     * default; with faults.enabled == false no injector is built and
-     * timing is bit-identical to a build without the subsystem.
-     */
-    FaultConfig faults;
 
     /**
      * Liveness watchdog for simulate(). Disengaged by default (all

@@ -1,10 +1,13 @@
 /**
  * @file
  * Harness tests: table formatting, normalized breakdowns, stat-set
- * export, and the runner contract.
+ * export, the runner contract, and bench flag parsing.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <string>
 
 #include "cmpmem.hh"
 
@@ -120,6 +123,53 @@ TEST(Config, ValidateRejectsNonsense)
         EXPECT_NE(std::string(e.what()).find("core count"),
                   std::string::npos);
     }
+}
+
+/**
+ * parseBenchArgs() on one flag. The parsed values are process-wide
+ * overrides, so callers run it only inside a death-test child.
+ */
+void
+parseOneBenchArg(const char *flag)
+{
+    std::string prog = "bench";
+    std::string arg = flag;
+    char *argv[] = {prog.data(), arg.data(), nullptr};
+    parseBenchArgs(2, argv);
+}
+
+TEST(BenchArgs, MalformedValuesAreFatal)
+{
+    // A typo must not fall back to 0 or a wrapped value: 0 ticks turns
+    // the watchdog off.
+    for (const char *bad :
+         {"--watchdog-ticks=abc", "--watchdog-ticks=", "--watchdog-ticks=-5",
+          "--watchdog-ticks=12x", "--retries=x", "--retries=-1",
+          "--retries=99999999999", "--deadline=x", "--deadline=-3",
+          "--deadline=nan", "--deadline=2s"}) {
+        EXPECT_EXIT(parseOneBenchArg(bad), testing::ExitedWithCode(1),
+                    bad)
+            << bad;
+    }
+}
+
+TEST(BenchArgs, WellFormedValuesApply)
+{
+    EXPECT_EXIT(
+        {
+            parseOneBenchArg("--watchdog-ticks=40000000000000");
+            SystemConfig cfg = makeConfig(1, MemModel::CC);
+            std::exit(cfg.watchdog.maxTicks == 40'000'000'000'000ULL ? 0
+                                                                     : 2);
+        },
+        testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(
+        {
+            parseOneBenchArg("--retries=0");
+            parseOneBenchArg("--deadline=1.5");
+            std::exit(0);
+        },
+        testing::ExitedWithCode(0), "");
 }
 
 } // namespace

@@ -1,18 +1,12 @@
 /**
  * @file
  * Robustness-layer tests: the SimError taxonomy, the EventQueue
- * liveness watchdog, deterministic fault injection (DRAM ECC,
- * interconnect NACKs, DMA retries), LogCapture exception-unwind
- * flushing, and the sweep engine's per-job failure isolation.
- *
- * The FaultStress.* tests re-run whole sweeps under injected faults
- * and are registered separately with the "long" label (see
- * CMakeLists.txt); CMPMEM_FAULT_SCALE scales their workload list.
+ * liveness watchdog, LogCapture exception-unwind flushing, and the
+ * sweep engine's per-job failure isolation.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -40,7 +34,6 @@ TEST(SimErrors, KindNamesAreJsonTags)
     EXPECT_STREQ(to_string(SimErrorKind::Model), "model");
     EXPECT_STREQ(to_string(SimErrorKind::Deadlock), "deadlock");
     EXPECT_STREQ(to_string(SimErrorKind::Watchdog), "watchdog");
-    EXPECT_STREQ(to_string(SimErrorKind::Fault), "fault");
     EXPECT_STREQ(to_string(SimErrorKind::Check), "check");
 }
 
@@ -53,11 +46,11 @@ TEST(SimErrors, CarriesKindMessageAndDiagnostic)
     EXPECT_EQ(e.diagnostic(), "dump text");
 
     try {
-        throwSimError(SimErrorKind::Fault, "retry %d of %d", 3, 8);
+        throwSimError(SimErrorKind::Model, "ticket %d of %d", 3, 8);
         FAIL() << "throwSimError returned";
     } catch (const SimError &f) {
-        EXPECT_EQ(f.kind(), SimErrorKind::Fault);
-        EXPECT_STREQ(f.what(), "retry 3 of 8");
+        EXPECT_EQ(f.kind(), SimErrorKind::Model);
+        EXPECT_STREQ(f.what(), "ticket 3 of 8");
         EXPECT_TRUE(f.diagnostic().empty());
     }
 }
@@ -70,31 +63,6 @@ TEST(SimErrors, UnknownWorkloadIsRecoverable)
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), SimErrorKind::Config);
         EXPECT_TRUE(contains(e.what(), "no-such-workload"));
-    }
-}
-
-TEST(SimErrors, FaultConfigValidation)
-{
-    SystemConfig cfg = makeConfig(2, MemModel::CC);
-    cfg.faults.enabled = true;
-    cfg.faults.netNackProb = 1.5;
-    try {
-        cfg.validate();
-        FAIL() << "probability 1.5 accepted";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), SimErrorKind::Config);
-        EXPECT_TRUE(contains(e.what(), "probabilities"));
-    }
-
-    SystemConfig cfg2 = makeConfig(2, MemModel::CC);
-    cfg2.faults.enabled = true;
-    cfg2.faults.dmaMaxRetries = 0;
-    try {
-        cfg2.validate();
-        FAIL() << "retry limit 0 accepted";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), SimErrorKind::Config);
-        EXPECT_TRUE(contains(e.what(), "retry"));
     }
 }
 
@@ -341,159 +309,6 @@ TEST(LogCaptureUnwind, NormalDestructionDoesNotLeak)
 }
 
 // ---------------------------------------------------------------- //
-// Fault injection                                                  //
-// ---------------------------------------------------------------- //
-
-TEST(Faults, DisabledByDefaultAndCountersZero)
-{
-    WorkloadParams p;
-    p.scale = 0;
-    RunResult r = runWorkload("fir", makeConfig(2, MemModel::CC), p);
-    EXPECT_TRUE(r.verified);
-    EXPECT_EQ(r.stats.faults.dramFlips, 0u);
-    EXPECT_EQ(r.stats.faults.netNacks, 0u);
-    EXPECT_EQ(r.stats.faults.dmaFaults, 0u);
-}
-
-TEST(Faults, SameSeedReproducesBitIdentically)
-{
-    WorkloadParams p;
-    p.scale = 0;
-    SystemConfig cfg = makeConfig(4, MemModel::CC);
-    cfg.faults = stressFaultConfig(42);
-
-    RunResult a = runWorkload("fir", cfg, p);
-    RunResult b = runWorkload("fir", cfg, p);
-    EXPECT_TRUE(a.verified);
-    EXPECT_TRUE(b.verified);
-    EXPECT_EQ(a.stats.execTicks, b.stats.execTicks);
-    EXPECT_EQ(a.stats.faults.dramFlips, b.stats.faults.dramFlips);
-    EXPECT_EQ(a.stats.faults.eccCorrected, b.stats.faults.eccCorrected);
-    EXPECT_EQ(a.stats.faults.netNacks, b.stats.faults.netNacks);
-    EXPECT_EQ(a.stats.faults.netRetries, b.stats.faults.netRetries);
-    EXPECT_EQ(a.stats.faults.dmaFaults, b.stats.faults.dmaFaults);
-}
-
-TEST(Faults, EccCorrectionCountsAndSlowsTheRun)
-{
-    WorkloadParams p;
-    p.scale = 0;
-    SystemConfig clean = makeConfig(2, MemModel::CC);
-    RunResult base = runWorkload("fir", clean, p);
-
-    SystemConfig cfg = clean;
-    cfg.faults.enabled = true;
-    cfg.faults.seed = 9;
-    cfg.faults.dramBitFlipProb = 0.999;   // nearly every DRAM read
-    cfg.faults.dramDoubleBitFraction = 0; // all single-bit
-    RunResult r = runWorkload("fir", cfg, p);
-
-    EXPECT_TRUE(r.verified); // ECC corrects: data is never corrupted
-    EXPECT_GT(r.stats.faults.dramFlips, 0u);
-    EXPECT_EQ(r.stats.faults.eccCorrected, r.stats.faults.dramFlips);
-    EXPECT_EQ(r.stats.faults.eccDetected, 0u);
-    EXPECT_GT(r.stats.execTicks, base.stats.execTicks);
-}
-
-TEST(Faults, DoubleBitDetectionRereadsOrDies)
-{
-    WorkloadParams p;
-    p.scale = 0;
-    SystemConfig cfg = makeConfig(2, MemModel::CC);
-    cfg.faults.enabled = true;
-    cfg.faults.seed = 5;
-    cfg.faults.dramBitFlipProb = 0.999;
-    cfg.faults.dramDoubleBitFraction = 1.0; // every flip double-bit
-
-    // Default: detected, counted, survived by re-read.
-    RunResult r = runWorkload("fir", cfg, p);
-    EXPECT_TRUE(r.verified);
-    EXPECT_GT(r.stats.faults.eccDetected, 0u);
-    EXPECT_EQ(r.stats.faults.eccCorrected, 0u);
-
-    // Machine-check mode: the first detection is fatal to the job.
-    cfg.faults.dramFatalOnDoubleBit = true;
-    try {
-        runWorkload("fir", cfg, p);
-        FAIL() << "double-bit error not fatal";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), SimErrorKind::Fault);
-    }
-}
-
-TEST(Faults, NackRetryBudgetExhaustionIsAFaultError)
-{
-    WorkloadParams p;
-    p.scale = 0;
-    SystemConfig cfg = makeConfig(2, MemModel::CC);
-    cfg.faults.enabled = true;
-    cfg.faults.seed = 3;
-    cfg.faults.netNackProb = 0.999; // virtually every transfer
-    cfg.faults.netMaxRetries = 2;
-    try {
-        runWorkload("fir", cfg, p);
-        FAIL() << "NACK retry exhaustion survived";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), SimErrorKind::Fault);
-        EXPECT_TRUE(contains(e.what(), "NACK"));
-    }
-}
-
-TEST(Faults, NackRetriesRecoverAtModerateRates)
-{
-    WorkloadParams p;
-    p.scale = 0;
-    SystemConfig cfg = makeConfig(4, MemModel::CC);
-    cfg.faults.enabled = true;
-    cfg.faults.seed = 11;
-    cfg.faults.netNackProb = 0.02;
-    cfg.faults.netMaxRetries = 16;
-    RunResult r = runWorkload("fir", cfg, p);
-    EXPECT_TRUE(r.verified);
-    EXPECT_GT(r.stats.faults.netNacks, 0u);
-    EXPECT_EQ(r.stats.faults.netRetries, r.stats.faults.netNacks);
-}
-
-TEST(Faults, DmaRetryAndExhaustionOnStreamModel)
-{
-    WorkloadParams p;
-    p.scale = 0;
-    SystemConfig cfg = makeConfig(2, MemModel::STR);
-    cfg.faults.enabled = true;
-    cfg.faults.seed = 17;
-    cfg.faults.dmaFaultProb = 0.05;
-    cfg.faults.dmaMaxRetries = 16;
-    RunResult r = runWorkload("fir", cfg, p);
-    EXPECT_TRUE(r.verified);
-    EXPECT_GT(r.stats.faults.dmaFaults, 0u);
-    EXPECT_EQ(r.stats.faults.dmaRetries, r.stats.faults.dmaFaults);
-
-    cfg.faults.dmaFaultProb = 0.999;
-    cfg.faults.dmaMaxRetries = 2;
-    try {
-        runWorkload("fir", cfg, p);
-        FAIL() << "DMA retry exhaustion survived";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), SimErrorKind::Fault);
-        EXPECT_TRUE(contains(e.what(), "DMA"));
-    }
-}
-
-TEST(Faults, CoherenceCheckerStaysCleanUnderInjectedFaults)
-{
-    WorkloadParams p;
-    p.scale = 0;
-    p.seed = 123;
-    SystemConfig cfg = makeConfig(4, MemModel::CC);
-    cfg.checkCoherence = true;
-    cfg.faults = stressFaultConfig(99);
-    RunResult r = runWorkload("stress", cfg, p);
-    EXPECT_TRUE(r.verified);
-    EXPECT_EQ(r.stats.checkerViolations, 0u);
-    EXPECT_GT(r.stats.checkerEvents, 0u);
-}
-
-// ---------------------------------------------------------------- //
 // Sweep-engine failure isolation                                   //
 // ---------------------------------------------------------------- //
 
@@ -575,86 +390,6 @@ TEST(SweepFaults, PlainExceptionsKeepGenericKind)
     EXPECT_EQ(jr.errorKind, "exception");
     EXPECT_TRUE(jr.diagnostic.empty());
     EXPECT_TRUE(contains(res.toJson(), "\"kind\": \"exception\""));
-}
-
-// ---------------------------------------------------------------- //
-// Long-running fault stress (label: long)                          //
-// ---------------------------------------------------------------- //
-
-/** CMPMEM_FAULT_SCALE widens the stress workload list (default 1). */
-int
-faultScale()
-{
-    if (const char *env = std::getenv("CMPMEM_FAULT_SCALE")) {
-        int s = std::atoi(env);
-        if (s > 0)
-            return s;
-    }
-    return 1;
-}
-
-TEST(FaultStress, ParallelAndSerialSweepsBitIdenticalUnderFaults)
-{
-    std::vector<std::string> wl = {"fir", "merge"};
-    if (faultScale() > 1) {
-        wl.push_back("bitonic");
-        wl.push_back("depth");
-    }
-
-    WorkloadParams p;
-    p.scale = 0;
-    SystemConfig cfg = makeConfig(4, MemModel::CC);
-    cfg.faults = stressFaultConfig(2026);
-
-    SweepSpec spec("fault-determinism");
-    spec.base(cfg).baseParams(p).workloads(wl).modelAxis(
-        {MemModel::CC, MemModel::STR});
-
-    SweepOptions serial;
-    serial.jobs = 1;
-    serial.echoLogs = false;
-    SweepOptions parallel;
-    parallel.jobs = 4;
-    parallel.echoLogs = false;
-
-    SweepResult a = runSweep(spec, serial);
-    SweepResult b = runSweep(spec, parallel);
-
-    ASSERT_EQ(a.jobs().size(), b.jobs().size());
-    for (std::size_t i = 0; i < a.jobs().size(); ++i) {
-        const JobResult &ja = a.jobs()[i];
-        const JobResult &jb = b.jobs()[i];
-        ASSERT_EQ(ja.job.id, jb.job.id);
-        EXPECT_TRUE(ja.ran) << ja.job.id << ": " << ja.error;
-        EXPECT_TRUE(jb.ran) << jb.job.id << ": " << jb.error;
-        EXPECT_EQ(ja.run.stats.execTicks, jb.run.stats.execTicks)
-            << ja.job.id;
-        EXPECT_EQ(ja.run.stats.faults.dramFlips,
-                  jb.run.stats.faults.dramFlips)
-            << ja.job.id;
-        EXPECT_EQ(ja.run.stats.faults.netNacks,
-                  jb.run.stats.faults.netNacks)
-            << ja.job.id;
-        EXPECT_EQ(ja.run.stats.faults.dmaFaults,
-                  jb.run.stats.faults.dmaFaults)
-            << ja.job.id;
-    }
-}
-
-TEST(FaultStress, CoherenceCheckerCleanAcrossSeeds)
-{
-    WorkloadParams p;
-    p.scale = 0;
-    const int seeds = 2 * faultScale();
-    for (int s = 1; s <= seeds; ++s) {
-        p.seed = std::uint64_t(1000 + s);
-        SystemConfig cfg = makeConfig(8, MemModel::CC);
-        cfg.checkCoherence = true;
-        cfg.faults = stressFaultConfig(std::uint64_t(s));
-        RunResult r = runWorkload("stress", cfg, p);
-        EXPECT_TRUE(r.verified) << "seed " << s;
-        EXPECT_EQ(r.stats.checkerViolations, 0u) << "seed " << s;
-    }
 }
 
 } // namespace

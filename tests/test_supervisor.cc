@@ -104,7 +104,7 @@ TEST(SupervisorCodec, RoundTripsJobResultBitExactly)
     s.l1Total.loadMisses = 13;
     s.l1Total.writebacks = 14;
     s.fabric.snoopProbes = 15;
-    s.faults.eccCorrected = 16;
+    s.calendarOverflows = 16;
 
     in.run.energy.coreMj = 1.0 / 3.0;
     in.run.energy.dramMj = 2.5e-7;
@@ -136,7 +136,7 @@ TEST(SupervisorCodec, RoundTripsJobResultBitExactly)
     EXPECT_EQ(out.run.stats.perCore[1].syncTicks, 611u);
     EXPECT_EQ(out.run.stats.l1Total.writebacks, 14u);
     EXPECT_EQ(out.run.stats.fabric.snoopProbes, 15u);
-    EXPECT_EQ(out.run.stats.faults.eccCorrected, 16u);
+    EXPECT_EQ(out.run.stats.calendarOverflows, 16u);
     EXPECT_EQ(out.run.energy.coreMj, in.run.energy.coreMj);
     EXPECT_EQ(out.run.energy.dramMj, in.run.energy.dramMj);
     EXPECT_EQ(out.run.energy.l2Mj, in.run.energy.l2Mj);
