@@ -33,7 +33,7 @@ main(int argc, char **argv)
               {{"flat", [](SweepJob &j) { j.cfg.dram.bankModel = false; }},
                {"banked", [](SweepJob &j) { j.cfg.dram.bankModel = true; }}})
         .modelAxis();
-    SweepResult res = runBenchSweep(spec);
+    SweepResult res = runSweep(spec);
 
     TextTable table({"workload", "dram model", "CC exec (ms)",
                      "STR exec (ms)", "STR/CC", "row hit rate"});

@@ -151,7 +151,7 @@ main(int argc, char **argv)
     spec.point(job("CC", MemModel::CC, false));
     spec.point(job("CC+bulk", MemModel::CC, true));
     spec.point(job("STR", MemModel::STR, false));
-    SweepResult res = runBenchSweep(spec);
+    SweepResult res = runSweep(spec);
 
     auto us = [&](const char *id) {
         return double(res.runOf(id).stats.execTicks) /

@@ -35,7 +35,7 @@ main(int argc, char **argv)
                   cfg.net.xbarWidthBytes = std::uint32_t(v);
               },
               0);
-    SweepResult res = runBenchSweep(spec);
+    SweepResult res = runSweep(spec);
 
     TextTable table({"bus bytes", "xbar bytes", "exec (ms)",
                      "bus busy frac", "verified"});

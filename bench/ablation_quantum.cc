@@ -30,7 +30,7 @@ main(int argc, char **argv)
                   cfg.quantumCycles = Cycles(v);
               },
               0);
-    SweepResult res = runBenchSweep(spec);
+    SweepResult res = runSweep(spec);
 
     TextTable table({"workload", "quantum (cycles)", "exec (ms)",
                      "vs q=100", "host (s)", "verified"});

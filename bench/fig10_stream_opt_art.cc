@@ -40,7 +40,7 @@ main(int argc, char **argv)
     spec.baseline({"art/base", "art", makeConfig(1, MemModel::CC),
                    opt, {},
                    {{"workload", "art"}, {"role", "baseline"}}});
-    SweepResult res = runBenchSweep(spec);
+    SweepResult res = runSweep(spec);
 
     const RunResult &base = res.runOf("art/base");
     TextTable table({"CPUs", "variant", "total", "useful", "sync",

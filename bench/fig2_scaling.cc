@@ -47,7 +47,7 @@ main(int argc, char **argv)
             }
         }
     }
-    SweepResult res = runBenchSweep(spec);
+    SweepResult res = runSweep(spec);
 
     for (const auto &name : workloadNames()) {
         const RunResult &base = res.runOf(name + "/base");

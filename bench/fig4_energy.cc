@@ -37,7 +37,7 @@ main(int argc, char **argv)
                         {{"workload", name}, {"model", to_string(m)}}});
         }
     }
-    SweepResult res = runBenchSweep(spec);
+    SweepResult res = runSweep(spec);
 
     TextTable table({"Application", "model", "core", "I$", "D$/LMem",
                      "net", "L2", "DRAM", "total", "verified"});

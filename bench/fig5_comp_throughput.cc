@@ -44,7 +44,7 @@ main(int argc, char **argv)
             }
         }
     }
-    SweepResult res = runBenchSweep(spec);
+    SweepResult res = runSweep(spec);
 
     for (const char *name : {"mpeg2", "fir", "bitonic"}) {
         const RunResult &base =

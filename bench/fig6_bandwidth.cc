@@ -52,7 +52,7 @@ main(int argc, char **argv)
                     {{"workload", "fir"},
                      {"config", pfs ? "CC+pref+PFS" : "CC+pref"}}});
     }
-    SweepResult res = runBenchSweep(spec);
+    SweepResult res = runSweep(spec);
 
     const RunResult &base = res.runOf("fir/base");
     TextTable table({"GB/s", "config", "total", "useful", "sync",

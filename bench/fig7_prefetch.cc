@@ -47,7 +47,7 @@ main(int argc, char **argv)
                     benchParams(), {base_id},
                     {{"workload", name}, {"config", "STR"}}});
     }
-    SweepResult res = runBenchSweep(spec);
+    SweepResult res = runSweep(spec);
 
     TextTable table({"Application", "config", "total", "useful",
                      "sync", "load", "store", "pf issued",

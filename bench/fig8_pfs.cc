@@ -49,7 +49,7 @@ main(int argc, char **argv)
                     {base_id},
                     {{"workload", name}, {"config", "STR"}}});
     }
-    SweepResult res = runBenchSweep(spec);
+    SweepResult res = runSweep(spec);
 
     TextTable traffic({"Application", "config", "read", "write",
                        "total", "pfs stores"});

@@ -44,7 +44,7 @@ main(int argc, char **argv)
     spec.baseline({"mpeg2/base", "mpeg2", makeConfig(1, MemModel::CC),
                    opt, {},
                    {{"workload", "mpeg2"}, {"role", "baseline"}}});
-    SweepResult res = runBenchSweep(spec);
+    SweepResult res = runSweep(spec);
 
     const RunResult &base = res.runOf("mpeg2/base");
     TextTable table({"CPUs", "variant", "exec", "read", "write",

@@ -198,7 +198,7 @@ main(int argc, char **argv)
     SweepOptions opts;
     opts.jobs = 1;
     SweepResult res =
-        runBenchJobs("micro_access", std::move(jobs), opts);
+        runJobs("micro_access", std::move(jobs), opts);
 
     TextTable table({"job", "accesses", "host ms", "accesses/sec",
                      "fastpath hits", "events/sec"});

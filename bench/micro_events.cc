@@ -187,7 +187,7 @@ main(int argc, char **argv)
     SweepOptions opts;
     opts.jobs = 1;
     SweepResult res =
-        runBenchJobs("micro_events", std::move(jobs), opts);
+        runJobs("micro_events", std::move(jobs), opts);
 
     TextTable table({"job", "events", "host ms", "events/sec",
                      "peak pending", "overflows"});

@@ -176,7 +176,7 @@ main(int argc, char **argv)
     // each other.
     SweepOptions opts;
     opts.jobs = 1;
-    SweepResult res = runBenchJobs("micro_fabric", std::move(jobs), opts);
+    SweepResult res = runJobs("micro_fabric", std::move(jobs), opts);
 
     TextTable table({"job", "acquires", "host ms", "acquires/sec",
                      "tail grants", "mean live", "peak live"});

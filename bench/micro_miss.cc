@@ -232,7 +232,7 @@ main(int argc, char **argv)
     // each other.
     SweepOptions opts;
     opts.jobs = 1;
-    SweepResult res = runBenchJobs("micro_miss", std::move(jobs), opts);
+    SweepResult res = runJobs("micro_miss", std::move(jobs), opts);
 
     TextTable table({"job", "misses", "host ms", "misses/sec",
                      "miss-path allocs", "events/sec"});

@@ -30,7 +30,7 @@ main(int argc, char **argv)
     spec.base(makeConfig(16, MemModel::CC))
         .baseParams(benchParams())
         .workloads(workloadNames());
-    SweepResult res = runBenchSweep(spec);
+    SweepResult res = runSweep(spec);
 
     TextTable table({"Application", "L1 D-miss", "L2 D-miss",
                      "Instr/L1-miss", "Cycles/L2-miss", "Off-chip B/W",

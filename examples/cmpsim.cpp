@@ -15,8 +15,14 @@
  *     --orig            unoptimized variant (mpeg2/art)
  *     --json | --csv    machine-readable output
  *     --list            list workloads and exit
+ *
+ *   An unknown flag prints usage and exits 2; a malformed numeric
+ *   value (a sign, trailing text, out of range) prints usage and
+ *   exits 1.
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,14 +46,14 @@ struct Options
 };
 
 [[noreturn]] void
-usage()
+usage(int code = 2)
 {
     std::fprintf(stderr,
                  "usage: cmpsim [--workload NAME|all] [--model CC|STR] "
                  "[--cores N]\n              [--ghz F] [--gbps F] "
                  "[--prefetch N] [--pfs] [--scale N]\n              "
                  "[--orig] [--json|--csv] [--list]\n");
-    std::exit(2);
+    std::exit(code);
 }
 
 Options
@@ -61,6 +67,27 @@ parse(int argc, char **argv)
                 usage();
             return argv[i];
         };
+        // Strict numeric values (harness/experiment.hh): a malformed
+        // one is a usage error, never a silent 0.
+        auto malformed = [&](const char *v) {
+            std::fprintf(stderr, "cmpsim: malformed value '%s' for %s\n",
+                         v, a.c_str());
+            usage(1);
+        };
+        auto count = [&](unsigned long long max) {
+            const char *v = next();
+            unsigned long long n = 0;
+            if (!parseCount(v, max, n))
+                malformed(v);
+            return n;
+        };
+        auto number = [&] {
+            const char *v = next();
+            double x = 0;
+            if (!parseNonNegativeNumber(v, x))
+                malformed(v);
+            return x;
+        };
         if (a == "--workload") {
             o.workload = next();
         } else if (a == "--model") {
@@ -72,18 +99,18 @@ parse(int argc, char **argv)
             else
                 usage();
         } else if (a == "--cores") {
-            o.cfg.cores = std::atoi(next());
+            o.cfg.cores = int(count(INT_MAX));
         } else if (a == "--ghz") {
-            o.cfg.coreClockGhz = std::atof(next());
+            o.cfg.coreClockGhz = number();
         } else if (a == "--gbps") {
-            o.cfg.dram.bandwidthGBps = std::atof(next());
+            o.cfg.dram.bandwidthGBps = number();
         } else if (a == "--prefetch") {
             o.cfg.hwPrefetch = true;
-            o.cfg.prefetchDepth = std::uint32_t(std::atoi(next()));
+            o.cfg.prefetchDepth = std::uint32_t(count(UINT32_MAX));
         } else if (a == "--pfs") {
             o.cfg.pfsEnabled = true;
         } else if (a == "--scale") {
-            o.params.scale = std::atoi(next());
+            o.params.scale = int(count(INT_MAX));
         } else if (a == "--orig") {
             o.params.streamOptimized = false;
         } else if (a == "--json") {

@@ -7,31 +7,20 @@
 # Knobs (environment):
 #   CMPMEM_SCALE     workload scale factor (default 1; 0 = smoke size)
 #   CMPMEM_JOBS      sweep worker count (default: hardware concurrency)
-#   CMPMEM_ISOLATE   1 = run every sweep job in a forked sandbox
-#                    (DESIGN.md §16)
 #
-# Flags:
-#   --resume       pick up where a killed run left off: each sweep
-#                  merges completed jobs from its write-ahead journal
-#                  (BENCH_<name>.journal.jsonl) instead of re-running
-#                  them. The merged artifact is bit-identical to an
-#                  uninterrupted run's.
-#
-# Usage: scripts/bench.sh [--resume] [jobs]
+# Usage: scripts/bench.sh [jobs]
 #        (jobs = build parallelism)
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 root="$PWD"
-resume=0
 jobs="$(nproc)"
 for arg in "$@"; do
     case "${arg}" in
-        --resume) resume=1 ;;
         [0-9]*) jobs="${arg}" ;;
         *)
-            echo "usage: scripts/bench.sh [--resume] [jobs]" >&2
+            echo "usage: scripts/bench.sh [jobs]" >&2
             exit 2
             ;;
     esac
@@ -67,11 +56,7 @@ export CMPMEM_ARTIFACT_DIR="${root}"
 for b in "${benches[@]}"; do
     echo
     echo "==> ${b}"
-    flags=()
-    if [[ "${resume}" -eq 1 ]]; then
-        flags+=(--resume)
-    fi
-    "build/bench/${b}" ${flags[@]+"${flags[@]}"}
+    "build/bench/${b}"
 done
 
 echo

@@ -14,9 +14,6 @@
 # compared bit-for-bit and median-throughput against baselines/ via
 # bench_compare; DESIGN.md §14), then the host-performance
 # benchmark's scale-0 smoke test (hostbench/test_hostbench.py), then
-# re-runs the sweep and supervisor suites with CMPMEM_ISOLATE=1
-# (every job in a forked sandbox, plus the kill-then-resume gate;
-# DESIGN.md §16), then
 # builds and runs everything again under AddressSanitizer + UBSan
 # (CMPMEM_SANITIZE=ON; this includes the watchdog kills and error
 # unwinding of test_robustness, where latent lifetime bugs hide), and
@@ -81,10 +78,6 @@ run_bench_pinned() {
     mkdir -p "${dir}"
     CMPMEM_SCALE=0 CMPMEM_BENCH_SCALE=1 CMPMEM_ARTIFACT_DIR="${dir}" \
         "build/bench/${bench}" >/dev/null
-    # The write-ahead journal (DESIGN.md §16) is run-local scratch,
-    # not an artifact: never let it ride into baselines/ or a gate
-    # directory diff.
-    rm -f "${dir}/BENCH_${bench}.journal.jsonl"
 }
 
 if [[ "${update}" -eq 1 ]]; then
@@ -128,20 +121,12 @@ if [[ "${full}" -eq 1 ]]; then
     # Builds the host-performance benchmark into .bench_build/ and
     # checks its result line, traced attribution and failure paths.
     python3 hostbench/test_hostbench.py
-    echo "==> isolation pass (Release, CMPMEM_ISOLATE=1)"
-    # Re-run the sweep-engine and supervisor suites with every job in
-    # a forked sandbox: the §16 contract says sandboxed execution is
-    # bit-identical and the whole determinism story must hold through
-    # the process boundary. This includes gate_resume_table3, the
-    # kill-then-resume bench gate.
-    CMPMEM_ISOLATE=1 ctest --test-dir build --output-on-failure \
-        -j "${jobs}" -R 'test_sweep|test_supervisor|gate_resume'
     run_config build-sanitize "-LE perf" -DCMAKE_BUILD_TYPE=Release \
         -DCMPMEM_SANITIZE=ON
     echo "==> thread-sanitizer pass (sweep executor)"
     # TSan and ASan cannot share a build; a third tree covers the one
     # suite that actually runs host threads: the inter-job sweep pool
-    # (§16).
+    # (DESIGN.md §10).
     cmake -S . -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=Release \
         -DCMPMEM_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "${jobs}"

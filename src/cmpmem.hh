@@ -28,7 +28,6 @@
 #include "harness/experiment.hh"
 #include "harness/json.hh"
 #include "harness/runner.hh"
-#include "harness/supervisor.hh"
 #include "harness/sweep.hh"
 #include "harness/table.hh"
 #include "sim/clock.hh"

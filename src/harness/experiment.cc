@@ -7,11 +7,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <utility>
 
 #include "harness/table.hh"
 #include "sim/log.hh"
-#include "sim/sim_error.hh"
 
 namespace cmpmem
 {
@@ -21,16 +19,9 @@ namespace
 
 /** Process-wide overrides from parseBenchArgs(). */
 WatchdogConfig benchWatchdog;
-bool benchIsolate = false;
-bool benchResume = false;
-int benchRetries = 1;
-double benchDeadline = 0;
 
-/**
- * Parse a whole flag value as a decimal integer no larger than
- * @p max. Rejects an empty value, a sign, trailing text and overflow
- * (which strtoull would otherwise read as 0, negate or saturate).
- */
+} // namespace
+
 bool
 parseCount(const char *s, unsigned long long max, unsigned long long &out)
 {
@@ -45,9 +36,8 @@ parseCount(const char *s, unsigned long long max, unsigned long long &out)
     return true;
 }
 
-/** Parse a whole flag value as a finite non-negative number. */
 bool
-parseSeconds(const char *s, double &out)
+parseNonNegativeNumber(const char *s, double &out)
 {
     if (!std::isdigit(static_cast<unsigned char>(*s)) && *s != '.')
         return false;
@@ -59,7 +49,19 @@ parseSeconds(const char *s, double &out)
     return true;
 }
 
-} // namespace
+unsigned long long
+envCount(const char *name, unsigned long long max,
+         unsigned long long fallback)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return fallback;
+    unsigned long long v = 0;
+    if (!parseCount(env, max, v))
+        fatal("%s='%s' is not a whole number in [0, %llu]", name, env,
+              max);
+    return v;
+}
 
 void
 parseBenchArgs(int argc, char **argv)
@@ -67,28 +69,13 @@ parseBenchArgs(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         unsigned long long n = 0;
-        bool ok = true;
-        if (std::strncmp(arg, "--watchdog-ticks=", 17) == 0) {
-            ok = parseCount(arg + 17, ULLONG_MAX, n);
-            benchWatchdog.maxTicks = n;
-        } else if (std::strcmp(arg, "--isolate") == 0) {
-            benchIsolate = true;
-        } else if (std::strcmp(arg, "--resume") == 0) {
-            benchResume = true;
-        } else if (std::strncmp(arg, "--retries=", 10) == 0) {
-            ok = parseCount(arg + 10, INT_MAX, n);
-            benchRetries = int(n);
-        } else if (std::strncmp(arg, "--deadline=", 11) == 0) {
-            ok = parseSeconds(arg + 11, benchDeadline);
-        } else {
-            ok = false;
-        }
-        if (!ok) {
+        if (std::strncmp(arg, "--watchdog-ticks=", 17) != 0 ||
+            !parseCount(arg + 17, ULLONG_MAX, n)) {
             fatal("%s: unknown or malformed argument '%s' (supported: "
-                  "--watchdog-ticks=N, --isolate, --resume, "
-                  "--retries=N, --deadline=SECS)",
+                  "--watchdog-ticks=N)",
                   argv[0], arg);
         }
+        benchWatchdog.maxTicks = n;
     }
 }
 
@@ -137,20 +124,14 @@ benchParams()
 int
 benchScale()
 {
-    if (const char *env = std::getenv("CMPMEM_SCALE"))
-        return std::atoi(env);
-    return 1;
+    return int(envCount("CMPMEM_SCALE", INT_MAX, 1));
 }
 
 std::uint64_t
 benchScaleDivisor()
 {
-    if (const char *env = std::getenv("CMPMEM_BENCH_SCALE")) {
-        long long v = std::atoll(env);
-        if (v > 1)
-            return std::uint64_t(v);
-    }
-    return 1;
+    const std::uint64_t v = envCount("CMPMEM_BENCH_SCALE", LLONG_MAX, 1);
+    return v > 1 ? v : 1;
 }
 
 std::uint64_t
@@ -160,35 +141,6 @@ benchIters(std::uint64_t base)
     const std::uint64_t factor = scale <= 0 ? 1 : 20 * std::uint64_t(scale);
     const std::uint64_t iters = base * factor / benchScaleDivisor();
     return iters ? iters : 1;
-}
-
-SweepResult
-runBenchJobs(const std::string &name, std::vector<SweepJob> jobs,
-             SweepOptions opts)
-{
-    if (benchIsolate)
-        opts.isolate = SweepIsolate::On;
-    if (benchResume)
-        opts.resume = true;
-    if (benchRetries > 0 && opts.maxRetries == 0)
-        opts.maxRetries = benchRetries;
-    if (benchDeadline > 0 && opts.jobDeadlineSeconds <= 0)
-        opts.jobDeadlineSeconds = benchDeadline;
-    if (opts.journalPath.empty())
-        opts.journalPath = journalPath(name);
-    try {
-        return runJobs(name, std::move(jobs), opts);
-    } catch (const SimError &e) {
-        // Resume refusal (journal identity mismatch) and similar
-        // harness-level Config errors: CLI misuse, not a bug.
-        fatal("%s", e.what());
-    }
-}
-
-SweepResult
-runBenchSweep(const SweepSpec &spec, SweepOptions opts)
-{
-    return runBenchJobs(spec.name(), spec.expand(), std::move(opts));
 }
 
 int

@@ -33,15 +33,6 @@ SystemConfig makeConfig(int cores, MemModel model, double ghz = 0.8,
  *
  *   --watchdog-ticks=N   guard every run with an N-simulated-tick
  *                        liveness budget
- *   --isolate            run every job in a forked sandbox process
- *                        (same as CMPMEM_ISOLATE=1; DESIGN.md §16)
- *   --resume             merge completed jobs from the sweep's
- *                        write-ahead journal instead of re-running
- *                        them
- *   --retries=N          re-dispatch a crashed/timed-out sandbox up
- *                        to N extra times (default 1)
- *   --deadline=SECS      hard per-job wall-clock deadline enforced
- *                        with SIGKILL (isolation only; default none)
  *
  * Unknown arguments and malformed values (a sign, trailing text, an
  * empty or out-of-range number) are fatal, so typos don't silently
@@ -49,6 +40,28 @@ SystemConfig makeConfig(int cores, MemModel model, double ghz = 0.8,
  * thing in main().
  */
 void parseBenchArgs(int argc, char **argv);
+
+/**
+ * Strict parsers for command-line and environment values, shared by
+ * parseBenchArgs(), the CMPMEM_* environment readers and cmpsim.
+ * Each accepts the whole string or nothing: an empty value, a sign,
+ * trailing text and overflow all return false and leave @p out
+ * untouched.
+ */
+
+/** A decimal whole number no larger than @p max. */
+bool parseCount(const char *s, unsigned long long max,
+                unsigned long long &out);
+
+/** A finite non-negative decimal number ("3.2", ".5", "1e3"). */
+bool parseNonNegativeNumber(const char *s, double &out);
+
+/**
+ * The environment variable @p name as parseCount() reads it, or
+ * @p fallback when it is unset; a malformed value is fatal().
+ */
+unsigned long long envCount(const char *name, unsigned long long max,
+                            unsigned long long fallback);
 
 /**
  * Figure 2-style breakdown: each component is the per-core average
@@ -75,7 +88,7 @@ std::string breakdownCells(const NormBreakdown &b);
 /**
  * Workload scale for bench binaries: reads the CMPMEM_SCALE
  * environment variable (default 1; 0 selects the tiny test inputs
- * for a quick pass).
+ * for a quick pass; anything but a whole number is fatal).
  */
 WorkloadParams benchParams();
 
@@ -85,11 +98,12 @@ int benchScale();
 /**
  * Iteration divisor for the substrate microbenchmarks, from the
  * CMPMEM_BENCH_SCALE environment variable (default 1, clamped to at
- * least 1). Sanitized trees set it so the ctest "perf" entries fit
- * their TIMEOUT budget under ASan's ~10-20x slowdown; because it
- * changes iteration counts (and therefore simulated stats), the
- * value is recorded in every BENCH artifact and bench_compare
- * refuses to diff artifacts produced under different divisors.
+ * least 1; anything but a whole number is fatal). Sanitized trees
+ * set it so the ctest "perf" entries fit their TIMEOUT budget under
+ * ASan's ~10-20x slowdown; because it changes iteration counts (and
+ * therefore simulated stats), the value is recorded in every BENCH
+ * artifact and bench_compare refuses to diff artifacts produced
+ * under different divisors.
  */
 std::uint64_t benchScaleDivisor();
 
@@ -107,19 +121,6 @@ std::uint64_t benchIters(std::uint64_t base);
  * (0 unless a job failed to execute).
  */
 int finishBench(const SweepResult &res);
-
-/**
- * runSweep()/runJobs() with the process-wide bench options folded
- * in: --isolate/--resume/--retries/--deadline from parseBenchArgs(),
- * plus a write-ahead journal at journalPath(name) (fresh unless
- * resuming). A resume refusal (SimErrorKind::Config) is fatal()ed
- * with its message instead of escaping main(). Every bench main
- * calls these instead of the raw engine entry points.
- */
-SweepResult runBenchSweep(const SweepSpec &spec, SweepOptions opts = {});
-SweepResult runBenchJobs(const std::string &name,
-                         std::vector<SweepJob> jobs,
-                         SweepOptions opts = {});
 
 } // namespace cmpmem
 

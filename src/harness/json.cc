@@ -512,54 +512,4 @@ JsonValue::dump() const
     return out;
 }
 
-void
-JsonValue::dumpCompactTo(std::string &out) const
-{
-    switch (k) {
-      case Kind::Null:
-        out += "null";
-        break;
-      case Kind::Bool:
-        out += boolean ? "true" : "false";
-        break;
-      case Kind::Number: {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", number);
-        out += buf;
-        break;
-      }
-      case Kind::String:
-        escapeTo(out, text);
-        break;
-      case Kind::Array:
-        out += '[';
-        for (std::size_t i = 0; i < elems.size(); ++i) {
-            if (i)
-                out += ", ";
-            elems[i].dumpCompactTo(out);
-        }
-        out += ']';
-        break;
-      case Kind::Object:
-        out += '{';
-        for (std::size_t i = 0; i < fields.size(); ++i) {
-            if (i)
-                out += ", ";
-            escapeTo(out, fields[i].first);
-            out += ": ";
-            fields[i].second.dumpCompactTo(out);
-        }
-        out += '}';
-        break;
-    }
-}
-
-std::string
-JsonValue::dumpCompact() const
-{
-    std::string out;
-    dumpCompactTo(out);
-    return out;
-}
-
 } // namespace cmpmem

@@ -99,14 +99,6 @@ class JsonValue
      */
     std::string dump() const;
 
-    /**
-     * Serialize onto a single line with no trailing newline — the
-     * JSONL form used by the sweep journal and the supervisor's
-     * result pipe. Same "%.17g" number convention as dump(), so the
-     * two forms round-trip identically.
-     */
-    std::string dumpCompact() const;
-
   private:
     Kind k = Kind::Null;
     bool boolean = false;
@@ -116,7 +108,6 @@ class JsonValue
     std::vector<std::pair<std::string, JsonValue>> fields;
 
     void dumpTo(std::string &out, int depth) const;
-    void dumpCompactTo(std::string &out) const;
 };
 
 } // namespace cmpmem

@@ -1,18 +1,17 @@
 #include "harness/sweep.hh"
 
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 
 #include "harness/experiment.hh"
-#include "harness/supervisor.hh"
 #include "harness/table.hh"
 #include "sim/log.hh"
 #include "sim/sim_error.hh"
@@ -102,18 +101,18 @@ energyJson(const EnergyBreakdown &e)
     return out;
 }
 
-} // namespace
-
+/**
+ * Execute one job on the calling thread: the body of every sweep
+ * worker. Catches SimError/std::exception into the JobResult
+ * taxonomy; never throws.
+ */
 JobResult
-runJobInProcess(const SweepJob &job, const SweepOptions &opts,
-                const LogSink &log_sink)
+runJobInProcess(const SweepJob &job, const SweepOptions &opts)
 {
     JobResult jr;
     jr.job = job;
 
     LogCapture capture;
-    if (log_sink)
-        capture.setSink(log_sink);
     double t0 = threadCpuSeconds();
     try {
         if (job.run) {
@@ -151,6 +150,8 @@ runJobInProcess(const SweepJob &job, const SweepOptions &opts,
     jr.log = capture.drain();
     return jr;
 }
+
+} // namespace
 
 // ---------------------------------------------------------------- //
 // SweepSpec                                                        //
@@ -411,16 +412,11 @@ SweepResult::toJson() const
         out += "      \"config\": " + configIdentityJson(jr.job.cfg) +
                ",\n";
         out += "      \"ran\": " + jbool(jr.ran) + ",\n";
-        // Host-side dispatch bookkeeping, excluded from identity
-        // comparison like host_seconds (DESIGN.md §16).
-        out += "      \"attempts\": " + fmt("%d", jr.attempts) + ",\n";
         if (!jr.error.empty()) {
             out += "      \"error\": {\"kind\": " +
                    jstr(jr.errorKind.empty() ? "exception"
                                              : jr.errorKind) +
                    ", \"message\": " + jstr(jr.error);
-            if (!jr.signal.empty())
-                out += ", \"signal\": " + jstr(jr.signal);
             if (!jr.diagnostic.empty())
                 out += ", \"diagnostic\": " + jstr(jr.diagnostic);
             out += "},\n";
@@ -475,10 +471,8 @@ int
 sweepWorkerCount(int requested)
 {
     int n = requested;
-    if (n <= 0) {
-        if (const char *env = std::getenv("CMPMEM_JOBS"))
-            n = std::atoi(env);
-    }
+    if (n <= 0)
+        n = int(envCount("CMPMEM_JOBS", INT_MAX, 0));
     if (n <= 0)
         n = int(std::thread::hardware_concurrency());
     return n > 0 ? n : 1;
@@ -490,14 +484,6 @@ artifactPath(const std::string &name)
     const char *dir = std::getenv("CMPMEM_ARTIFACT_DIR");
     std::string base = (dir && *dir) ? dir : ".";
     return base + "/BENCH_" + name + ".json";
-}
-
-std::string
-journalPath(const std::string &name)
-{
-    const char *dir = std::getenv("CMPMEM_ARTIFACT_DIR");
-    std::string base = (dir && *dir) ? dir : ".";
-    return base + "/BENCH_" + name + ".journal.jsonl";
 }
 
 SweepResult
@@ -562,43 +548,7 @@ runJobs(std::string name, std::vector<SweepJob> jobs,
         int(std::min<std::size_t>(std::size_t(sweepWorkerCount(opts.jobs)),
                                   std::max<std::size_t>(n, 1)));
 
-    // Resume: merge journaled completions before dispatch. load()
-    // throws SimErrorKind::Config on identity mismatch — a changed
-    // sweep must not silently absorb stale results.
-    std::map<std::string, JobResult> resumed;
-    if (opts.resume) {
-        if (opts.journalPath.empty()) {
-            warn("sweep %s: resume requested but no journal path is "
-                 "set; running the full sweep",
-                 name.c_str());
-        } else {
-            resumed = SweepJournal::load(opts.journalPath, name, jobs);
-            if (!resumed.empty()) {
-                inform("sweep %s: resuming — %zu of %zu jobs merged "
-                       "from %s",
-                       name.c_str(), resumed.size(), n,
-                       opts.journalPath.c_str());
-            }
-        }
-    }
-
-    std::unique_ptr<SweepJournal> journal;
-    if (!opts.journalPath.empty()) {
-        journal = std::make_unique<SweepJournal>(
-            opts.journalPath, name, /*fresh=*/!opts.resume);
-    }
-
-    const bool isolate = isolationEnabled(opts);
-
     std::vector<JobResult> results(n);
-    std::vector<char> preloaded(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        auto it = resumed.find(jobs[i].id);
-        if (it == resumed.end())
-            continue;
-        results[i] = std::move(it->second);
-        preloaded[i] = 1;
-    }
 
     auto wall0 = std::chrono::steady_clock::now();
     {
@@ -606,18 +556,8 @@ runJobs(std::string name, std::vector<SweepJob> jobs,
         std::condition_variable cv;
         std::deque<std::size_t> ready;
         std::size_t completed = 0;
-        // Journal-merged jobs are already complete: they satisfy
-        // their dependents' ordering constraints without dispatch
-        // (and their logs are not re-echoed).
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!preloaded[i])
-                continue;
-            ++completed;
-            for (std::size_t d : dependents[i])
-                --remaining[d];
-        }
         for (std::size_t i = 0; i < n; ++i)
-            if (!preloaded[i] && remaining[i] == 0)
+            if (remaining[i] == 0)
                 ready.push_back(i);
 
         auto workerLoop = [&] {
@@ -632,15 +572,7 @@ runJobs(std::string name, std::vector<SweepJob> jobs,
                 ready.pop_front();
                 lock.unlock();
 
-                JobResult jr = isolate
-                                   ? runJobSupervised(jobs[i], opts)
-                                   : runJobInProcess(jobs[i], opts);
-                // Journal before reporting: the record must be
-                // durable by the time anything downstream can
-                // observe the job as done (record() has its own
-                // lock and fsyncs).
-                if (journal && SweepJournal::eligible(jr))
-                    journal->record(jr);
+                JobResult jr = runJobInProcess(jobs[i], opts);
                 if (opts.echoLogs && !jr.log.empty()) {
                     emitRaw("--- log from sweep job '" + jobs[i].id +
                             "' ---\n" + jr.log);

@@ -90,26 +90,9 @@ struct JobResult
 
     /**
      * Error taxonomy when !ran: a SimErrorKind name ("watchdog",
-     * "deadlock", "crash", "timeout", ...) or "exception"
-     * for anything else.
+     * "deadlock", ...) or "exception" for anything else.
      */
     std::string errorKind;
-
-    /**
-     * Signal that terminated the sandboxed child ("SIGSEGV",
-     * "SIGKILL", ...) when errorKind is "crash"/"timeout" and a
-     * signal was involved; empty otherwise.
-     */
-    std::string signal;
-
-    /**
-     * Execution attempts consumed (1 for a job that ran once; >1
-     * after crash/timeout re-dispatch; 0 for a result merged from a
-     * resume journal without re-running). Host-side bookkeeping:
-     * bench_compare excludes it from identity comparison, like
-     * host_seconds.
-     */
-    int attempts = 1;
 
     /**
      * Machine-state dump attached to the failure (SimError::
@@ -197,18 +180,6 @@ class SweepSpec
     std::vector<SweepJob> points;
 };
 
-/**
- * Whether jobs run in forked sandbox processes (harness/supervisor.hh).
- * Env defers to the CMPMEM_ISOLATE environment variable (unset/"0"
- * means off), so one knob flips a whole test or bench run.
- */
-enum class SweepIsolate
-{
-    Env,
-    Off,
-    On,
-};
-
 /** Execution knobs for runSweep(). */
 struct SweepOptions
 {
@@ -242,55 +213,6 @@ struct SweepOptions
      * the failure point matters.
      */
     double jobMaxHostSeconds = 0;
-
-    /**
-     * Run each job in a forked child supervised by the parent
-     * (DESIGN.md §16): a SIGSEGV, abort, or runaway host loop in one
-     * job can no longer take down its siblings. Simulated stats are
-     * bit-identical to in-process execution — the child serializes
-     * the full RunStats/energy over a pipe with exact double
-     * round-tripping.
-     */
-    SweepIsolate isolate = SweepIsolate::Env;
-
-    /**
-     * Extra dispatch attempts for a job whose *sandbox* died (crash
-     * or deadline kill) — deterministic SimError failures are
-     * recorded, not retried, since they would fail identically
-     * again. 0 disables re-dispatch. Only meaningful under
-     * isolation.
-     */
-    int maxRetries = 0;
-
-    /**
-     * Bounded linear backoff between re-dispatches: attempt n sleeps
-     * n * retryBackoffSeconds, capped at retryBackoffMaxSeconds.
-     */
-    double retryBackoffSeconds = 0.05;
-    double retryBackoffMaxSeconds = 1.0;
-
-    /**
-     * Hard per-attempt wall-clock deadline in seconds (0 = none),
-     * enforced by the supervisor with SIGKILL. Unlike the in-process
-     * watchdog (cooperative, checked between events), this stops
-     * jobs that wedge host time without simulating. Requires
-     * isolation; ignored for in-process jobs.
-     */
-    double jobDeadlineSeconds = 0;
-
-    /**
-     * Write-ahead journal path (empty = no journal). Every completed
-     * job appends one fsynced JSONL record keyed by id + config
-     * identity + stats digest, so a killed sweep can resume.
-     */
-    std::string journalPath;
-
-    /**
-     * Resume from journalPath: jobs with a journaled completion (and
-     * matching config identity) are merged bit-identically instead
-     * of re-run. Jobs journaled as crashed/timed-out are re-run.
-     */
-    bool resume = false;
 };
 
 /** Structured results of a sweep, in job-graph order. */
@@ -353,34 +275,20 @@ SweepResult runSweep(const SweepSpec &spec, const SweepOptions &opts = {});
 SweepResult runJobs(std::string name, std::vector<SweepJob> jobs,
                     const SweepOptions &opts = {});
 
-/** Resolved worker count for @p requested (0 = env/default). */
+/**
+ * Resolved worker count for @p requested (0 = CMPMEM_JOBS, then the
+ * hardware default; a malformed CMPMEM_JOBS is fatal).
+ */
 int sweepWorkerCount(int requested);
 
 /** Artifact path "<CMPMEM_ARTIFACT_DIR or .>/BENCH_<name>.json". */
 std::string artifactPath(const std::string &name);
 
-/** Journal path "<CMPMEM_ARTIFACT_DIR or .>/BENCH_<name>.journal.jsonl". */
-std::string journalPath(const std::string &name);
-
 /**
- * The config-identity JSON object recorded per job in artifacts and
- * journal records — exactly the fields bench_compare diffs, so "same
- * config identity" means the same thing to the gate and to resume.
+ * The config-identity JSON object recorded per job in artifacts —
+ * exactly the fields bench_compare diffs.
  */
 std::string configIdentityJson(const SystemConfig &cfg);
-
-/** Incremental log consumer for runJobInProcess (may be empty). */
-using LogSink = std::function<void(const std::string &)>;
-
-/**
- * Execute one job on the calling thread (the isolation-off body of
- * the executor, also the body a sandbox child runs after fork).
- * Catches SimError/std::exception into the JobResult taxonomy;
- * never throws. @p log_sink additionally receives each captured log
- * line as it is produced.
- */
-JobResult runJobInProcess(const SweepJob &job, const SweepOptions &opts,
-                          const LogSink &log_sink = {});
 
 } // namespace cmpmem
 

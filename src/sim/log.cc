@@ -17,6 +17,14 @@ std::atomic<bool> quietMode{false};
 
 thread_local LogCapture *tlsCapture = nullptr;
 
+/** Serializes direct stderr writes across sweep worker threads. */
+std::mutex &
+logMutex()
+{
+    static std::mutex m;
+    return m;
+}
+
 /** One locked, line-atomic write to stderr. */
 void
 emit(const char *tag, const std::string &msg)
@@ -50,14 +58,6 @@ vlogFatal(const char *tag, const char *fmt, std::va_list ap)
 }
 
 } // namespace
-
-/** Serializes direct stderr writes across sweep worker threads. */
-std::mutex &
-logMutex()
-{
-    static std::mutex m;
-    return m;
-}
 
 std::string
 vstrformat(const char *fmt, std::va_list ap)
@@ -118,14 +118,6 @@ LogCapture::append(const char *tag, const std::string &msg)
     line += msg;
     line += '\n';
     buf += line;
-    if (sink)
-        sink(line);
-}
-
-void
-LogCapture::setSink(std::function<void(const std::string &)> s)
-{
-    sink = std::move(s);
 }
 
 void

@@ -15,8 +15,6 @@
 #define CMPMEM_SIM_LOG_HH
 
 #include <cstdarg>
-#include <functional>
-#include <mutex>
 #include <string>
 
 namespace cmpmem
@@ -57,16 +55,6 @@ void emitRaw(const std::string &text);
 bool isQuiet();
 
 /**
- * The mutex serializing direct stderr writes. Exposed for one
- * purpose: the fork-based job supervisor (harness/supervisor.hh)
- * holds it across fork() so a child is never created while another
- * thread owns the lock — the child would inherit a locked,
- * never-to-be-unlocked mutex and deadlock on its first fatal() or
- * emitRaw(). Not for general use.
- */
-std::mutex &logMutex();
-
-/**
  * RAII sink that redirects this thread's warn()/inform() output into
  * a buffer for the capture's lifetime. Captures nest (the previous
  * sink is restored on destruction) and are strictly thread-local:
@@ -101,20 +89,9 @@ class LogCapture
     /** Internal: append one formatted line (called by warn/inform). */
     void append(const char *tag, const std::string &msg);
 
-    /**
-     * Install a sink invoked with each line as it is appended (in
-     * addition to buffering). The supervisor's forked child uses
-     * this to stream its log over the result pipe incrementally, so
-     * a SIGKILLed job still leaves its partial log with the parent.
-     * The sink runs on the capturing thread; pass an empty function
-     * to remove it.
-     */
-    void setSink(std::function<void(const std::string &)> s);
-
   private:
     LogCapture *prev;
     std::string buf;
-    std::function<void(const std::string &)> sink;
 };
 
 } // namespace cmpmem

@@ -16,8 +16,6 @@ to_string(SimErrorKind kind)
       case SimErrorKind::Deadlock: return "deadlock";
       case SimErrorKind::Watchdog: return "watchdog";
       case SimErrorKind::Check: return "check";
-      case SimErrorKind::Crash: return "crash";
-      case SimErrorKind::Timeout: return "timeout";
     }
     return "unknown";
 }

@@ -21,15 +21,10 @@
  *  - Watchdog: a liveness budget tripped (max ticks, host CPU time,
  *              or no forward progress); carries a diagnostic dump.
  *  - Check:    the runtime MESI checker failed fast on a violation.
- *  - Crash:    a sandboxed sweep child died without reporting a
- *              result (signal, nonzero exit, torn pipe). Only the
- *              supervisor (harness/supervisor.hh) classifies this
- *              kind — simulation code cannot observe its own crash.
- *  - Timeout:  the supervisor's hard wall-clock deadline expired and
- *              the child was SIGKILLed. Distinct from Watchdog: the
- *              watchdog is cooperative and runs inside the child;
- *              the deadline covers hangs the child cannot interrupt
- *              (wedged host loops, stuck syscalls).
+ *
+ * A job that kills the host process (a signal, an abort) is outside
+ * the taxonomy: sweep jobs run in-process, so it ends the whole sweep
+ * before any artifact is written.
  */
 
 #ifndef CMPMEM_SIM_SIM_ERROR_HH
@@ -48,8 +43,6 @@ enum class SimErrorKind
     Deadlock,
     Watchdog,
     Check,
-    Crash,
-    Timeout,
 };
 
 /** Lower-case kind tag, as recorded in sweep JSON artifacts. */

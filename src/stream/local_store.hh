@@ -63,43 +63,10 @@ class LocalStore
     void countRead() { ++numReads; }
     void countWrite() { ++numWrites; }
 
-    //
-    // FIFO access mode. Table 2's local store "provides hardware
-    // support for FIFO accesses"; the paper's applications did not
-    // use it, but the capability is part of the modelled hardware.
-    // A FIFO is a circular channel over a region of the store.
-    //
-
-    /** Configure FIFO @p id over [base, base+bytes). */
-    void fifoConfig(int id, std::uint32_t base, std::uint32_t bytes);
-
-    /** Elements currently queued in FIFO @p id (in bytes). */
-    std::uint32_t fifoDepth(int id) const;
-
-    /** Push @p n bytes; @return false when the FIFO is full. */
-    bool fifoPush(int id, const void *src, std::uint32_t n);
-
-    /** Pop @p n bytes; @return false when underflowing. */
-    bool fifoPop(int id, void *dst, std::uint32_t n);
-
   private:
-    struct Fifo
-    {
-        std::uint32_t base = 0;
-        std::uint32_t size = 0;
-        std::uint32_t head = 0; ///< pop cursor (offset in region)
-        std::uint32_t depth = 0;
-    };
-
-    static constexpr int maxFifos = 4;
-
-    const Fifo &fifoAt(int id) const;
-    Fifo &fifoAt(int id);
-
     void checkRange(std::uint32_t offset, std::size_t n) const;
 
     std::vector<std::uint8_t> bytes;
-    Fifo fifos[maxFifos];
     std::uint64_t numReads = 0;
     std::uint64_t numWrites = 0;
 };

@@ -27,8 +27,6 @@ std::unique_ptr<Workload> makeH264(const WorkloadParams &);
 std::unique_ptr<Workload> makeRaytrace(const WorkloadParams &);
 std::unique_ptr<Workload> makeStress(const WorkloadParams &);
 std::unique_ptr<Workload> makeHang(const WorkloadParams &);
-std::unique_ptr<Workload> makeCrash(const WorkloadParams &);
-std::unique_ptr<Workload> makeHostspin(const WorkloadParams &);
 
 } // namespace cmpmem
 

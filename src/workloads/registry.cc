@@ -43,8 +43,6 @@ constexpr Entry entries[] = {
 constexpr Entry hiddenEntries[] = {
     {"stress", &makeStress},
     {"hang", &makeHang},
-    {"crash", &makeCrash},
-    {"hostspin", &makeHostspin},
 };
 
 } // namespace

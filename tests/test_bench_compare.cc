@@ -229,30 +229,21 @@ TEST(BenchCompare, HostFieldsAreExcludedFromIdentity)
 
 TEST(BenchCompare, RetryBookkeepingIsExcludedFromIdentity)
 {
-    // attempts counts sandbox re-dispatches (DESIGN.md §16) — host
-    // scheduling noise, like host_seconds. A baseline recorded before
-    // the field existed must also still compare clean against fresh
-    // artifacts that carry it.
-    JsonValue base = makeArtifact();
-    JsonValue fresh = base;
+    // Artifacts written while sweeps could re-dispatch a job carried
+    // an "attempts" count per job, and some committed baselines still
+    // do. It was host-side bookkeeping, like host_seconds: a baseline
+    // that carries it must compare clean against fresh artifacts that
+    // do not, in either direction.
+    JsonValue fresh = makeArtifact();
+    JsonValue stale = fresh;
     for (const char *id : {"alpha", "beta"}) {
-        JsonValue &job = jobNamed(fresh, id);
-        job.set("attempts", JsonValue::makeNumber(3));
+        EXPECT_EQ(jobNamed(fresh, id).find("attempts"), nullptr);
+        jobNamed(stale, id).set("attempts", JsonValue::makeNumber(1));
     }
-    CompareReport rep = compareArtifacts(base, {fresh});
-    EXPECT_TRUE(rep.identityClean());
+    CompareReport rep = compareArtifacts(stale, {fresh});
+    EXPECT_TRUE(rep.identityClean()) << rep.format();
     EXPECT_EQ(rep.exitCode(), 0);
-
-    std::string text = base.dump();
-    for (std::size_t pos = text.find("\"attempts\":");
-         pos != std::string::npos;
-         pos = text.find("\"attempts\":", pos)) {
-        std::size_t end = text.find(',', pos);
-        ASSERT_NE(end, std::string::npos);
-        text.erase(pos, end - pos + 1);
-    }
-    JsonValue old = JsonValue::parse(text);
-    EXPECT_TRUE(compareArtifacts(old, {fresh}).identityClean());
+    EXPECT_TRUE(compareArtifacts(fresh, {stale}).identityClean());
 }
 
 TEST(BenchCompare, ThroughputDropBeyondToleranceIsFlagged)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the modelled-hardware extensions: local-store FIFO mode,
- * the Section 7 hybrid bulk-prefetch primitive, the optional
- * bank/open-row DRAM model, and the stats export formats.
+ * Tests for the modelled-hardware extensions: the Section 7 hybrid
+ * bulk-prefetch primitive, the optional bank/open-row DRAM model,
+ * and the stats export formats.
  */
 
 #include <gtest/gtest.h>
@@ -13,66 +13,6 @@ namespace cmpmem
 {
 namespace
 {
-
-//
-// Local-store FIFO mode.
-//
-
-TEST(LsFifo, PushPopRoundTrip)
-{
-    LocalStore ls(1024);
-    ls.fifoConfig(0, 128, 64);
-    std::uint8_t in[16], out[16];
-    for (int i = 0; i < 16; ++i)
-        in[i] = std::uint8_t(i * 3);
-    EXPECT_TRUE(ls.fifoPush(0, in, 16));
-    EXPECT_EQ(ls.fifoDepth(0), 16u);
-    EXPECT_TRUE(ls.fifoPop(0, out, 16));
-    EXPECT_EQ(std::memcmp(in, out, 16), 0);
-    EXPECT_EQ(ls.fifoDepth(0), 0u);
-}
-
-TEST(LsFifo, WrapsAroundItsRegion)
-{
-    LocalStore ls(256);
-    ls.fifoConfig(1, 0, 24);
-    std::uint8_t buf[16];
-    for (int round = 0; round < 10; ++round) {
-        for (int i = 0; i < 16; ++i)
-            buf[i] = std::uint8_t(round * 16 + i);
-        ASSERT_TRUE(ls.fifoPush(1, buf, 16));
-        std::uint8_t got[16];
-        ASSERT_TRUE(ls.fifoPop(1, got, 16));
-        EXPECT_EQ(std::memcmp(buf, got, 16), 0);
-    }
-}
-
-TEST(LsFifo, RefusesOverflowAndUnderflow)
-{
-    LocalStore ls(256);
-    ls.fifoConfig(0, 0, 8);
-    std::uint8_t buf[12] = {};
-    EXPECT_FALSE(ls.fifoPush(0, buf, 12)); // larger than region
-    EXPECT_TRUE(ls.fifoPush(0, buf, 8));
-    EXPECT_FALSE(ls.fifoPush(0, buf, 1)); // full
-    std::uint8_t out[12];
-    EXPECT_TRUE(ls.fifoPop(0, out, 8));
-    EXPECT_FALSE(ls.fifoPop(0, out, 1)); // empty
-}
-
-TEST(LsFifo, IndependentChannels)
-{
-    LocalStore ls(256);
-    ls.fifoConfig(0, 0, 32);
-    ls.fifoConfig(1, 32, 32);
-    std::uint8_t a = 1, b = 2, got = 0;
-    EXPECT_TRUE(ls.fifoPush(0, &a, 1));
-    EXPECT_TRUE(ls.fifoPush(1, &b, 1));
-    EXPECT_TRUE(ls.fifoPop(1, &got, 1));
-    EXPECT_EQ(got, 2);
-    EXPECT_TRUE(ls.fifoPop(0, &got, 1));
-    EXPECT_EQ(got, 1);
-}
 
 //
 // Hybrid bulk prefetch.

@@ -1,7 +1,8 @@
 /**
  * @file
  * Harness tests: table formatting, normalized breakdowns, stat-set
- * export, the runner contract, and bench flag parsing.
+ * export, the runner contract, and bench flag and environment
+ * parsing.
  */
 
 #include <gtest/gtest.h>
@@ -140,16 +141,25 @@ parseOneBenchArg(const char *flag)
 
 TEST(BenchArgs, MalformedValuesAreFatal)
 {
-    // A typo must not fall back to 0 or a wrapped value: 0 ticks turns
-    // the watchdog off.
+    // A typo must not fall back to 0: 0 ticks turns the watchdog off.
     for (const char *bad :
          {"--watchdog-ticks=abc", "--watchdog-ticks=", "--watchdog-ticks=-5",
-          "--watchdog-ticks=12x", "--retries=x", "--retries=-1",
-          "--retries=99999999999", "--deadline=x", "--deadline=-3",
-          "--deadline=nan", "--deadline=2s"}) {
+          "--watchdog-ticks=12x", "--watchdog-ticks=99999999999999999999"}) {
         EXPECT_EXIT(parseOneBenchArg(bad), testing::ExitedWithCode(1),
                     bad)
             << bad;
+    }
+}
+
+TEST(BenchArgs, RetiredSweepFlagsAreFatal)
+{
+    // Sweep jobs always run in-process with no resume journal, so
+    // these flags are unknown arguments.
+    for (const char *gone :
+         {"--isolate", "--resume", "--retries=1", "--deadline=1.5"}) {
+        EXPECT_EXIT(parseOneBenchArg(gone), testing::ExitedWithCode(1),
+                    "unknown or malformed argument")
+            << gone;
     }
 }
 
@@ -163,11 +173,100 @@ TEST(BenchArgs, WellFormedValuesApply)
                                                                      : 2);
         },
         testing::ExitedWithCode(0), "");
+}
+
+TEST(StrictParsers, AcceptWholeValuesOnly)
+{
+    unsigned long long n = 7;
+    EXPECT_TRUE(parseCount("0", 10, n));
+    EXPECT_EQ(n, 0u);
+    EXPECT_TRUE(parseCount("10", 10, n));
+    EXPECT_EQ(n, 10u);
+    for (const char *bad : {"", "x", "-1", "+1", " 1", "1 ", "2x", "11",
+                            "99999999999999999999"}) {
+        EXPECT_FALSE(parseCount(bad, 10, n)) << "'" << bad << "'";
+    }
+    EXPECT_EQ(n, 10u) << "a rejected value leaves the output untouched";
+
+    double x = -1;
+    EXPECT_TRUE(parseNonNegativeNumber("3.2", x));
+    EXPECT_EQ(x, 3.2);
+    EXPECT_TRUE(parseNonNegativeNumber(".5", x));
+    EXPECT_EQ(x, 0.5);
+    EXPECT_TRUE(parseNonNegativeNumber("1e3", x));
+    EXPECT_EQ(x, 1000.0);
+    for (const char *bad : {"", "x", "-3", "nan", "inf", "1e999", "2s",
+                            " 1"}) {
+        EXPECT_FALSE(parseNonNegativeNumber(bad, x)) << "'" << bad << "'";
+    }
+    EXPECT_EQ(x, 1000.0);
+}
+
+/**
+ * Read @p var set to @p value through @p read in a death-test child,
+ * so the setting never leaks into the rest of the suite.
+ */
+template <typename Read>
+void
+readEnvAs(const char *var, const char *value, Read read)
+{
+    setenv(var, value, 1);
+    (void)read();
+    std::exit(0);
+}
+
+TEST(BenchEnv, MalformedValuesAreFatal)
+{
+    // A typo must not read as scale 0, divisor 1 or "all CPUs".
+    const auto scale = [] { return benchScale(); };
+    const auto divisor = [] { return benchScaleDivisor(); };
+    const auto jobs = [] { return sweepWorkerCount(0); };
+    for (const char *bad : {"x", "", "2x", "-1", " 1", "1.5"}) {
+        EXPECT_EXIT(readEnvAs("CMPMEM_SCALE", bad, scale),
+                    testing::ExitedWithCode(1), "CMPMEM_SCALE")
+            << "'" << bad << "'";
+        EXPECT_EXIT(readEnvAs("CMPMEM_BENCH_SCALE", bad, divisor),
+                    testing::ExitedWithCode(1), "CMPMEM_BENCH_SCALE")
+            << "'" << bad << "'";
+        EXPECT_EXIT(readEnvAs("CMPMEM_JOBS", bad, jobs),
+                    testing::ExitedWithCode(1), "CMPMEM_JOBS")
+            << "'" << bad << "'";
+    }
+    EXPECT_EXIT(readEnvAs("CMPMEM_SCALE", "3000000000", scale),
+                testing::ExitedWithCode(1), "CMPMEM_SCALE");
+}
+
+TEST(BenchEnv, WellFormedValuesKeepTheirMeaning)
+{
+    // Each check runs in a child: 0 = the value was read as expected.
     EXPECT_EXIT(
         {
-            parseOneBenchArg("--retries=0");
-            parseOneBenchArg("--deadline=1.5");
-            std::exit(0);
+            setenv("CMPMEM_SCALE", "0", 1);
+            setenv("CMPMEM_BENCH_SCALE", "0", 1);
+            setenv("CMPMEM_JOBS", "0", 1);
+            std::exit(benchScale() == 0 && benchScaleDivisor() == 1 &&
+                              sweepWorkerCount(0) >= 1
+                          ? 0
+                          : 2);
+        },
+        testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(
+        {
+            setenv("CMPMEM_SCALE", "3", 1);
+            setenv("CMPMEM_BENCH_SCALE", "20", 1);
+            setenv("CMPMEM_JOBS", "5", 1);
+            std::exit(benchScale() == 3 && benchScaleDivisor() == 20 &&
+                              sweepWorkerCount(0) == 5
+                          ? 0
+                          : 2);
+        },
+        testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(
+        {
+            unsetenv("CMPMEM_SCALE");
+            unsetenv("CMPMEM_BENCH_SCALE");
+            std::exit(benchScale() == 1 && benchScaleDivisor() == 1 ? 0
+                                                                    : 2);
         },
         testing::ExitedWithCode(0), "");
 }

@@ -4,7 +4,7 @@
  * baselines), the job-graph executor (dependency ordering under the
  * pool, failure isolation, log capture), JSON artifact validity, and
  * the determinism contract — parallel and serial execution of the
- * same spec produce bit-identical simulated tick counts per point
+ * same spec produce bit-identical stats digests and energy per point
  * (the SweepIntegration suite, labelled "long" in ctest).
  */
 
@@ -327,11 +327,6 @@ TEST(SweepExecutor, DependencyOrderingHoldsUnderPool)
     SweepOptions opts;
     opts.jobs = 4;
     opts.echoLogs = false;
-    // The recorded order lives in this process's memory; a forked
-    // sandbox (CMPMEM_ISOLATE=1 in the environment) would strand the
-    // side effects in the child. Ordering semantics are isolation-
-    // independent, so pin the in-process path.
-    opts.isolate = SweepIsolate::Off;
     SweepResult res = runJobs("order", std::move(jobs), opts);
 
     EXPECT_TRUE(res.allRan());
@@ -363,9 +358,6 @@ TEST(SweepExecutor, FailingJobDoesNotPoisonSiblings)
     SweepOptions opts;
     opts.jobs = 2;
     opts.echoLogs = false;
-    // In-process side effects again (see above): keep the sandbox
-    // off so the sequence counters are observable.
-    opts.isolate = SweepIsolate::Off;
     SweepResult res = runJobs("fail", std::move(jobs), opts);
 
     EXPECT_TRUE(res.at("ok1").ran);
@@ -399,6 +391,29 @@ TEST(SweepExecutor, CapturesWarningsPerJob)
     const std::string &log = res.at("warns").log;
     EXPECT_NE(log.find("warn: from inside job 7"), std::string::npos);
     EXPECT_NE(log.find("info: status line"), std::string::npos);
+}
+
+TEST(SweepExecutor, FailingJobKeepsItsLog)
+{
+    // Lines logged before a job throws stay with that job's result,
+    // so the artifact shows what led up to the failure.
+    SweepJob j;
+    j.id = "doomed";
+    j.run = []() -> RunResult {
+        warn("before the lights go out");
+        throwSimError(SimErrorKind::Model, "lights out");
+    };
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.echoLogs = false;
+    SweepResult res = runJobs("doom", {j}, opts);
+    const JobResult &jr = res.at("doomed");
+    EXPECT_FALSE(jr.ran);
+    EXPECT_EQ(jr.errorKind, "model");
+    EXPECT_EQ(jr.error, "lights out");
+    EXPECT_NE(jr.log.find("warn: before the lights go out"),
+              std::string::npos)
+        << jr.log;
 }
 
 TEST(SweepExecutor, QuietFlagSuppressesCapture)
@@ -491,6 +506,44 @@ TEST(SweepJson, EscapesAndEmptySweep)
     EXPECT_EQ(empty.jobs().size(), 0u);
 }
 
+TEST(SweepJson, ResourceStreamStatsOnlyForAcquiringRuns)
+{
+    // The resource-calendar bench counters enter a job's stats only
+    // when the run made acquires, so system-run digests never see
+    // them; the 53-bit grant digest survives the artifact exactly.
+    auto job = [](const std::string &id, std::uint64_t acquires) {
+        SweepJob j;
+        j.id = id;
+        j.run = [acquires] {
+            RunResult r;
+            ResourceStreamStats &rs = r.stats.resource;
+            rs.acquires = acquires;
+            rs.tailGrants = acquires / 2;
+            rs.intervalSum = 87804740;
+            rs.peakIntervals = 477;
+            rs.grantDigest = (1ull << 53) - 1;
+            r.verified = true;
+            return r;
+        };
+        return j;
+    };
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.echoLogs = false;
+    SweepResult res =
+        runJobs("fabric", {job("none", 0), job("some", 200000)}, opts);
+    JsonValue doc = JsonValue::parse(res.toJson());
+    const auto &results = doc.at("results").items();
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].at("stats").find("resource.acquires"), nullptr);
+    const JsonValue &stats = results[1].at("stats");
+    EXPECT_EQ(stats.at("resource.acquires").asNumber(), 200000.0);
+    EXPECT_EQ(stats.at("resource.mean_intervals").asNumber(),
+              87804740.0 / 200000.0);
+    EXPECT_EQ(stats.at("resource.grant_digest").asNumber(),
+              double((1ull << 53) - 1));
+}
+
 /**
  * The determinism contract (labelled "long" in ctest): for a fixed
  * spec, per-point simulated state is bit-identical no matter how
@@ -542,6 +595,12 @@ TEST(SweepIntegration, ParallelMatchesSerialBitIdentical)
             << ja.job.id;
         EXPECT_EQ(ja.run.stats.l1Total.writebacks,
                   jb.run.stats.l1Total.writebacks)
+            << ja.job.id;
+        // The digest covers every rendered stat.
+        EXPECT_EQ(ja.run.stats.toStatSet().digest(),
+                  jb.run.stats.toStatSet().digest())
+            << ja.job.id;
+        EXPECT_EQ(ja.run.energy.totalMj(), jb.run.energy.totalMj())
             << ja.job.id;
         EXPECT_EQ(ja.run.verified, jb.run.verified) << ja.job.id;
     }
