@@ -37,9 +37,8 @@ main(int argc, char **argv)
         .axis("variant",
               {{"orig", [orig](SweepJob &j) { j.params = orig; }},
                {"opt", [opt](SweepJob &j) { j.params = opt; }}});
-    spec.baseline({"art/base", "art", makeConfig(1, MemModel::CC),
-                   opt, {},
-                   {{"workload", "art"}, {"role", "baseline"}}});
+    spec.point({"art/base", "art", makeConfig(1, MemModel::CC), opt,
+                {{"workload", "art"}, {"role", "baseline"}}});
     SweepResult res = runSweep(spec);
 
     const RunResult &base = res.runOf("art/base");

@@ -12,8 +12,8 @@
  * loses at 16 cores; H.264 and MergeSort grow Sync components.
  *
  * Execution goes through the sweep engine: per workload, one 1-core
- * CC baseline job plus the {cores} x {model} points that depend on
- * it, all scheduled on the worker pool.
+ * CC baseline job plus the {cores} x {model} points, all run on the
+ * worker pool; the points are normalized once the sweep returns.
  */
 
 #include <cstdio>
@@ -33,14 +33,13 @@ main(int argc, char **argv)
     for (const auto &name : workloadNames()) {
         const std::string base_id = name + "/base";
         spec.point({base_id, name, makeConfig(1, MemModel::CC),
-                    benchParams(), {},
+                    benchParams(),
                     {{"workload", name}, {"role", "baseline"}}});
         for (int cores : {2, 4, 8, 16}) {
             for (MemModel m : {MemModel::CC, MemModel::STR}) {
                 spec.point({fmt("%s/cores=%d/model=%s", name.c_str(),
                                 cores, to_string(m)),
                             name, makeConfig(cores, m), benchParams(),
-                            {base_id},
                             {{"workload", name},
                              {"cores", fmt("%d", cores)},
                              {"model", to_string(m)}}});

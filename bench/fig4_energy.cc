@@ -29,11 +29,11 @@ main(int argc, char **argv)
     for (const char *name : {"fem", "mpeg2", "fir", "bitonic"}) {
         const std::string base_id = std::string(name) + "/base";
         spec.point({base_id, name, makeConfig(1, MemModel::CC),
-                    benchParams(), {},
+                    benchParams(),
                     {{"workload", name}, {"role", "baseline"}}});
         for (MemModel m : {MemModel::CC, MemModel::STR}) {
             spec.point({fmt("%s/model=%s", name, to_string(m)), name,
-                        makeConfig(16, m), benchParams(), {base_id},
+                        makeConfig(16, m), benchParams(),
                         {{"workload", name}, {"model", to_string(m)}}});
         }
     }

@@ -30,14 +30,14 @@ main(int argc, char **argv)
     for (const char *name : {"mpeg2", "fir", "bitonic"}) {
         const std::string base_id = std::string(name) + "/base";
         spec.point({base_id, name, makeConfig(1, MemModel::CC, 0.8),
-                    benchParams(), {},
+                    benchParams(),
                     {{"workload", name}, {"role", "baseline"}}});
         for (double ghz : {0.8, 1.6, 3.2, 6.4}) {
             for (MemModel m : {MemModel::CC, MemModel::STR}) {
                 spec.point({fmt("%s/ghz=%.1f/model=%s", name, ghz,
                                 to_string(m)),
                             name, makeConfig(16, m, ghz),
-                            benchParams(), {base_id},
+                            benchParams(),
                             {{"workload", name},
                              {"ghz", fmtF(ghz, 1)},
                              {"model", to_string(m)}}});

@@ -39,16 +39,15 @@ main(int argc, char **argv)
                   cfg.dram.bandwidthGBps = v;
               })
         .modelAxis();
-    spec.baseline({"fir/base", "fir",
-                   makeConfig(1, MemModel::CC, 0.8), benchParams(),
-                   {}, {{"workload", "fir"}, {"role", "baseline"}}});
+    spec.point({"fir/base", "fir", makeConfig(1, MemModel::CC, 0.8),
+                benchParams(), {{"workload", "fir"}, {"role", "baseline"}}});
     for (bool pfs : {false, true}) {
         SystemConfig pf = makeConfig(16, MemModel::CC, 3.2, 12.8);
         pf.hwPrefetch = true;
         pf.prefetchDepth = 8;
         pf.pfsEnabled = pfs;
         spec.point({pfs ? "fir/pref+pfs" : "fir/pref", "fir", pf,
-                    benchParams(), {"fir/base"},
+                    benchParams(),
                     {{"workload", "fir"},
                      {"config", pfs ? "CC+pref+PFS" : "CC+pref"}}});
     }

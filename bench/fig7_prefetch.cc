@@ -29,7 +29,7 @@ main(int argc, char **argv)
         const std::string base_id = std::string(name) + "/base";
         spec.point({base_id, name,
                     makeConfig(1, MemModel::CC, 0.8, 12.8),
-                    benchParams(), {},
+                    benchParams(),
                     {{"workload", name}, {"role", "baseline"}}});
 
         SystemConfig cc = makeConfig(2, MemModel::CC, 3.2, 12.8);
@@ -38,13 +38,12 @@ main(int argc, char **argv)
         p4.prefetchDepth = 4;
         SystemConfig str = makeConfig(2, MemModel::STR, 3.2, 12.8);
         spec.point({std::string(name) + "/CC", name, cc, benchParams(),
-                    {base_id},
                     {{"workload", name}, {"config", "CC"}}});
         spec.point({std::string(name) + "/CC+P4", name, p4,
-                    benchParams(), {base_id},
+                    benchParams(),
                     {{"workload", name}, {"config", "CC+P4"}}});
         spec.point({std::string(name) + "/STR", name, str,
-                    benchParams(), {base_id},
+                    benchParams(),
                     {{"workload", name}, {"config", "STR"}}});
     }
     SweepResult res = runSweep(spec);

@@ -32,21 +32,19 @@ main(int argc, char **argv)
     for (const char *name : {"fir", "merge", "mpeg2"}) {
         const std::string base_id = std::string(name) + "/base";
         spec.point({base_id, name, makeConfig(1, MemModel::CC),
-                    benchParams(), {},
+                    benchParams(),
                     {{"workload", name}, {"role", "baseline"}}});
 
         SystemConfig pfs = makeConfig(16, MemModel::CC);
         pfs.pfsEnabled = true;
         spec.point({std::string(name) + "/CC", name,
                     makeConfig(16, MemModel::CC), benchParams(),
-                    {base_id},
                     {{"workload", name}, {"config", "CC"}}});
         spec.point({std::string(name) + "/CC+PFS", name, pfs,
-                    benchParams(), {base_id},
+                    benchParams(),
                     {{"workload", name}, {"config", "CC+PFS"}}});
         spec.point({std::string(name) + "/STR", name,
                     makeConfig(16, MemModel::STR), benchParams(),
-                    {base_id},
                     {{"workload", name}, {"config", "STR"}}});
     }
     SweepResult res = runSweep(spec);

@@ -41,9 +41,8 @@ main(int argc, char **argv)
         .axis("variant",
               {{"orig", [orig](SweepJob &j) { j.params = orig; }},
                {"opt", [opt](SweepJob &j) { j.params = opt; }}});
-    spec.baseline({"mpeg2/base", "mpeg2", makeConfig(1, MemModel::CC),
-                   opt, {},
-                   {{"workload", "mpeg2"}, {"role", "baseline"}}});
+    spec.point({"mpeg2/base", "mpeg2", makeConfig(1, MemModel::CC), opt,
+                {{"workload", "mpeg2"}, {"role", "baseline"}}});
     SweepResult res = runSweep(spec);
 
     const RunResult &base = res.runOf("mpeg2/base");

@@ -182,7 +182,6 @@ main(int argc, char **argv)
     auto add = [&jobs](const char *id, const SystemConfig &cfg,
                        RunResult (*run)(const SystemConfig &)) {
         jobs.emplace_back(id, "", cfg, WorkloadParams{},
-                          std::vector<std::string>{},
                           std::map<std::string, std::string>{{"job", id}},
                           [cfg, run] { return run(cfg); });
     };
@@ -195,10 +194,7 @@ main(int argc, char **argv)
     // Serial on purpose: accesses/sec is a latency measurement, and
     // concurrent jobs would steal cache and memory bandwidth from
     // each other.
-    SweepOptions opts;
-    opts.jobs = 1;
-    SweepResult res =
-        runJobs("micro_access", std::move(jobs), opts);
+    SweepResult res = runJobs("micro_access", std::move(jobs), 1);
 
     TextTable table({"job", "accesses", "host ms", "accesses/sec",
                      "fastpath hits", "events/sec"});

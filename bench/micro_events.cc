@@ -165,29 +165,22 @@ main(int argc, char **argv)
 
     std::vector<SweepJob> jobs;
     jobs.emplace_back("churn", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{{"job", "churn"}},
                       runChurn);
     jobs.emplace_back("burst", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{{"job", "burst"}},
                       runBurst);
     jobs.emplace_back("far", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{{"job", "far"}},
                       runFar);
     jobs.emplace_back("stress/model=CC", "stress",
                       makeConfig(4, MemModel::CC), stress_params,
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{{"job", "stress"}});
 
     // Serial on purpose: events/sec is a latency measurement, and
     // concurrent jobs would steal cache and memory bandwidth from
     // each other.
-    SweepOptions opts;
-    opts.jobs = 1;
-    SweepResult res =
-        runJobs("micro_events", std::move(jobs), opts);
+    SweepResult res = runJobs("micro_events", std::move(jobs), 1);
 
     TextTable table({"job", "events", "host ms", "events/sec",
                      "peak pending", "overflows"});

@@ -161,12 +161,10 @@ main(int argc, char **argv)
 
     std::vector<SweepJob> jobs;
     jobs.emplace_back("resource_dram", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{
                           {"job", "resource_dram"}},
                       runResourceDram);
     jobs.emplace_back("channel_xbar", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{
                           {"job", "channel_xbar"}},
                       runChannelXbar);
@@ -174,9 +172,7 @@ main(int argc, char **argv)
     // Serial on purpose: acquires/sec is a latency measurement, and
     // concurrent jobs would steal cache and memory bandwidth from
     // each other.
-    SweepOptions opts;
-    opts.jobs = 1;
-    SweepResult res = runJobs("micro_fabric", std::move(jobs), opts);
+    SweepResult res = runJobs("micro_fabric", std::move(jobs), 1);
 
     TextTable table({"job", "acquires", "host ms", "acquires/sec",
                      "tail grants", "mean live", "peak live"});

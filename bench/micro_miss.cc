@@ -215,7 +215,6 @@ main(int argc, char **argv)
     auto add = [&jobs](const char *id, const SystemConfig &cfg,
                        RunResult (*run)(const SystemConfig &)) {
         jobs.emplace_back(id, "", cfg, WorkloadParams{},
-                          std::vector<std::string>{},
                           std::map<std::string, std::string>{{"job", id}},
                           [cfg, run] { return run(cfg); });
     };
@@ -230,9 +229,7 @@ main(int argc, char **argv)
     // Serial on purpose: misses/sec is a latency measurement, and
     // concurrent jobs would steal cache and memory bandwidth from
     // each other.
-    SweepOptions opts;
-    opts.jobs = 1;
-    SweepResult res = runJobs("micro_miss", std::move(jobs), opts);
+    SweepResult res = runJobs("micro_miss", std::move(jobs), 1);
 
     TextTable table({"job", "misses", "host ms", "misses/sec",
                      "miss-path allocs", "events/sec"});

@@ -37,9 +37,8 @@ main(int argc, char **argv)
                   cfg.dram.bandwidthGBps = v;
               })
         .modelAxis();
-    spec.baseline({workload + "/base", workload,
-                   makeConfig(1, MemModel::CC), {}, {},
-                   {{"workload", workload}, {"role", "baseline"}}});
+    spec.point({workload + "/base", workload, makeConfig(1, MemModel::CC),
+                {}, {{"workload", workload}, {"role", "baseline"}}});
     SweepResult res = runSweep(spec);
 
     const RunResult &base = res.runOf(workload + "/base");

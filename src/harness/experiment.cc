@@ -77,6 +77,11 @@ parseBenchArgs(int argc, char **argv)
         }
         benchWatchdog.maxTicks = n;
     }
+    // Read the bench environment now, so a malformed value is fatal
+    // before the bench prints anything.
+    (void)benchScale();
+    (void)benchScaleDivisor();
+    (void)sweepWorkerCount(0);
 }
 
 SystemConfig

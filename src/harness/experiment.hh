@@ -36,8 +36,10 @@ SystemConfig makeConfig(int cores, MemModel model, double ghz = 0.8,
  *
  * Unknown arguments and malformed values (a sign, trailing text, an
  * empty or out-of-range number) are fatal, so typos don't silently
- * run the default experiment or turn the watchdog off. Call it first
- * thing in main().
+ * run the default experiment or turn the watchdog off. It also reads
+ * CMPMEM_SCALE, CMPMEM_BENCH_SCALE and CMPMEM_JOBS, so a malformed
+ * value there is fatal before any output. Call it first thing in
+ * main().
  */
 void parseBenchArgs(int argc, char **argv);
 

@@ -1,13 +1,12 @@
 #include "harness/sweep.hh"
 
+#include <atomic>
 #include <chrono>
 #include <climits>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
-#include <mutex>
+#include <set>
 #include <thread>
 #include <utility>
 
@@ -107,7 +106,7 @@ energyJson(const EnergyBreakdown &e)
  * taxonomy; never throws.
  */
 JobResult
-runJobInProcess(const SweepJob &job, const SweepOptions &opts)
+runJobInProcess(const SweepJob &job)
 {
     JobResult jr;
     jr.job = job;
@@ -115,21 +114,8 @@ runJobInProcess(const SweepJob &job, const SweepOptions &opts)
     LogCapture capture;
     double t0 = threadCpuSeconds();
     try {
-        if (job.run) {
-            jr.run = job.run();
-        } else {
-            // Per-job liveness budgets: fill in whatever the job's
-            // own config left unset, so a single hung point cannot
-            // stall the whole sweep.
-            SystemConfig cfg = job.cfg;
-            if (opts.jobMaxTicks && !cfg.watchdog.maxTicks)
-                cfg.watchdog.maxTicks = opts.jobMaxTicks;
-            if (opts.jobMaxHostSeconds > 0 &&
-                cfg.watchdog.maxHostSeconds <= 0) {
-                cfg.watchdog.maxHostSeconds = opts.jobMaxHostSeconds;
-            }
-            jr.run = runWorkload(job.workload, cfg, job.params);
-        }
+        jr.run = job.run ? job.run()
+                         : runWorkload(job.workload, job.cfg, job.params);
         jr.ran = true;
     } catch (const SimError &e) {
         jr.error = e.what();
@@ -225,23 +211,10 @@ SweepSpec::point(SweepJob job)
     return *this;
 }
 
-SweepSpec &
-SweepSpec::baseline(SweepJob job)
-{
-    baselines.push_back(std::move(job));
-    return *this;
-}
-
 std::vector<SweepJob>
 SweepSpec::expand() const
 {
     std::vector<SweepJob> jobs;
-
-    std::vector<std::string> baselineIds;
-    for (const auto &b : baselines) {
-        baselineIds.push_back(b.id);
-        jobs.push_back(b);
-    }
 
     // Cross product: workloads (outermost) x axes in insertion
     // order, visited as a mixed-radix counter so expansion order is
@@ -268,7 +241,6 @@ SweepSpec::expand() const
                 job.cfg = baseCfg;
                 job.params = baseprm;
                 job.workload = w;
-                job.deps = baselineIds;
                 std::string id = w;
                 if (!w.empty())
                     job.tags["workload"] = w;
@@ -487,18 +459,16 @@ artifactPath(const std::string &name)
 }
 
 SweepResult
-runJobs(std::string name, std::vector<SweepJob> jobs,
-        const SweepOptions &opts)
+runJobs(std::string name, std::vector<SweepJob> list, int jobs)
 {
-    const std::size_t n = jobs.size();
+    const std::size_t n = list.size();
 
-    // Validate ids and dependencies; build the dependency graph.
-    std::map<std::string, std::size_t> byId;
+    std::set<std::string> ids;
     for (std::size_t i = 0; i < n; ++i) {
-        SweepJob &job = jobs[i];
+        const SweepJob &job = list[i];
         if (job.id.empty())
             fatal("sweep %s: job %zu has an empty id", name.c_str(), i);
-        if (!byId.emplace(job.id, i).second)
+        if (!ids.insert(job.id).second)
             fatal("sweep %s: duplicate job id '%s'", name.c_str(),
                   job.id.c_str());
         if (job.workload.empty() && !job.run)
@@ -506,90 +476,31 @@ runJobs(std::string name, std::vector<SweepJob> jobs,
                   "custom run function",
                   name.c_str(), job.id.c_str());
     }
-    std::vector<int> remaining(n, 0);
-    std::vector<std::vector<std::size_t>> dependents(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (const auto &dep : jobs[i].deps) {
-            auto it = byId.find(dep);
-            if (it == byId.end())
-                fatal("sweep %s: job '%s' depends on unknown job '%s'",
-                      name.c_str(), jobs[i].id.c_str(), dep.c_str());
-            if (it->second == i)
-                fatal("sweep %s: job '%s' depends on itself",
-                      name.c_str(), jobs[i].id.c_str());
-            dependents[it->second].push_back(i);
-            ++remaining[i];
-        }
-    }
-
-    // Kahn's algorithm up front: reject cycles before spawning the
-    // pool rather than deadlocking in it.
-    {
-        std::vector<int> rem = remaining;
-        std::deque<std::size_t> q;
-        for (std::size_t i = 0; i < n; ++i)
-            if (rem[i] == 0)
-                q.push_back(i);
-        std::size_t seen = 0;
-        while (!q.empty()) {
-            std::size_t i = q.front();
-            q.pop_front();
-            ++seen;
-            for (std::size_t d : dependents[i])
-                if (--rem[d] == 0)
-                    q.push_back(d);
-        }
-        if (seen != n)
-            fatal("sweep %s: dependency cycle among its %zu jobs",
-                  name.c_str(), n);
-    }
 
     const int workers =
-        int(std::min<std::size_t>(std::size_t(sweepWorkerCount(opts.jobs)),
+        int(std::min<std::size_t>(std::size_t(sweepWorkerCount(jobs)),
                                   std::max<std::size_t>(n, 1)));
 
+    // Every job is an independent simulation: workers claim the next
+    // index and write only their own slot, so results keep list
+    // order whatever the completion order.
     std::vector<JobResult> results(n);
+    std::atomic<std::size_t> next{0};
 
     auto wall0 = std::chrono::steady_clock::now();
     {
-        std::mutex m;
-        std::condition_variable cv;
-        std::deque<std::size_t> ready;
-        std::size_t completed = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            if (remaining[i] == 0)
-                ready.push_back(i);
-
         auto workerLoop = [&] {
-            std::unique_lock<std::mutex> lock(m);
             for (;;) {
-                cv.wait(lock, [&] {
-                    return !ready.empty() || completed == n;
-                });
-                if (ready.empty())
-                    return; // all jobs done
-                std::size_t i = ready.front();
-                ready.pop_front();
-                lock.unlock();
-
-                JobResult jr = runJobInProcess(jobs[i], opts);
-                if (opts.echoLogs && !jr.log.empty()) {
-                    emitRaw("--- log from sweep job '" + jobs[i].id +
-                            "' ---\n" + jr.log);
+                const std::size_t i = next.fetch_add(1);
+                if (i >= n)
+                    return;
+                results[i] = runJobInProcess(list[i]);
+                if (!results[i].log.empty()) {
+                    emitRaw("--- log from sweep job '" + list[i].id +
+                            "' ---\n" + results[i].log);
                 }
-
-                lock.lock();
-                results[i] = std::move(jr);
-                ++completed;
-                // Dependencies are ordering constraints only: a
-                // failed dependency does not cancel its dependents.
-                for (std::size_t d : dependents[i])
-                    if (--remaining[d] == 0)
-                        ready.push_back(d);
-                cv.notify_all();
             }
         };
-
         std::vector<std::jthread> pool;
         for (int w = 0; w < workers; ++w)
             pool.emplace_back(workerLoop);
@@ -603,9 +514,9 @@ runJobs(std::string name, std::vector<SweepJob> jobs,
 }
 
 SweepResult
-runSweep(const SweepSpec &spec, const SweepOptions &opts)
+runSweep(const SweepSpec &spec, int jobs)
 {
-    return runJobs(spec.name(), spec.expand(), opts);
+    return runJobs(spec.name(), spec.expand(), jobs);
 }
 
 } // namespace cmpmem

@@ -6,14 +6,14 @@
  * configuration axis is embarrassingly parallel.
  *
  * A SweepSpec names the axes (cross-product) and/or lists explicit
- * points; expand() turns it into a job graph (jobs plus ordering
- * dependencies, e.g. "normalized points run after their baseline");
- * runSweep() executes the graph on a worker pool of std::jthread
+ * points; expand() turns it into a flat list of independent jobs;
+ * runSweep() runs the list on a worker pool of std::jthread
  * (default std::thread::hardware_concurrency, overridable with the
- * CMPMEM_JOBS environment variable or SweepOptions::jobs) and
+ * CMPMEM_JOBS environment variable or the @c jobs argument) and
  * collects a SweepResult that renders both the existing text tables
  * (via per-id lookup) and a machine-readable BENCH_<name>.json
- * artifact.
+ * artifact. Normalized figures divide by their baseline point only
+ * after runSweep() returns, so no job waits for another.
  *
  * Determinism: results are stored by job index, not completion
  * order, and each simulation owns all of its mutable state (see the
@@ -44,12 +44,11 @@ struct SweepJob
 
     SweepJob(std::string id_, std::string workload_, SystemConfig cfg_,
              WorkloadParams params_ = {},
-             std::vector<std::string> deps_ = {},
              std::map<std::string, std::string> tags_ = {},
              std::function<RunResult()> run_ = {})
         : id(std::move(id_)), workload(std::move(workload_)),
-          cfg(cfg_), params(params_), deps(std::move(deps_)),
-          tags(std::move(tags_)), run(std::move(run_))
+          cfg(cfg_), params(params_), tags(std::move(tags_)),
+          run(std::move(run_))
     {
     }
 
@@ -61,13 +60,6 @@ struct SweepJob
 
     SystemConfig cfg;
     WorkloadParams params;
-
-    /**
-     * Ids of jobs that must complete before this one starts. A pure
-     * ordering constraint: a dependency that fails to run does not
-     * cancel its dependents (they run and report their own outcome).
-     */
-    std::vector<std::string> deps;
 
     /** Axis-point labels for reporting ("cores" -> "4"). */
     std::map<std::string, std::string> tags;
@@ -151,16 +143,10 @@ class SweepSpec
     SweepSpec &point(SweepJob job);
 
     /**
-     * Explicit point that every *cross-product* job depends on —
-     * the "1-core CC baseline" pattern of the normalized figures.
-     */
-    SweepSpec &baseline(SweepJob job);
-
-    /**
-     * Expand into the job graph: baselines, then the cross-product
-     * of workloads x axes (ids "<workload>/<axis>=<label>/..."),
-     * then explicit points. Deterministic order; fatal()s on
-     * duplicate ids, unknown deps, or dependency cycles.
+     * Expand into the job list: the cross-product of workloads x
+     * axes (ids "<workload>/<axis>=<label>/..."), then explicit
+     * points. Deterministic order; runJobs() fatal()s on duplicate
+     * ids.
      */
     std::vector<SweepJob> expand() const;
 
@@ -176,46 +162,10 @@ class SweepSpec
     WorkloadParams baseprm;
     std::vector<std::string> workloadList;
     std::vector<Axis> axes;
-    std::vector<SweepJob> baselines;
     std::vector<SweepJob> points;
 };
 
-/** Execution knobs for runSweep(). */
-struct SweepOptions
-{
-    /**
-     * Worker count; 0 means the CMPMEM_JOBS environment variable,
-     * falling back to std::thread::hardware_concurrency().
-     */
-    int jobs = 0;
-
-    /**
-     * Re-emit each job's captured warn()/inform() text to stderr
-     * (as one block, prefixed with the job id) once the job ends.
-     * When false the text is only kept in JobResult::log.
-     */
-    bool echoLogs = true;
-
-    /**
-     * Per-job simulated-tick budget for registry-workload jobs
-     * (0 = none). Applied as cfg.watchdog.maxTicks where the job's
-     * own config has not already set one; a job that exceeds it is
-     * recorded as a "watchdog" failure with a diagnostic dump, and
-     * the rest of the sweep completes normally. Custom-run jobs
-     * manage their own budgets.
-     */
-    Tick jobMaxTicks = 0;
-
-    /**
-     * Per-job host CPU-time budget in seconds for registry-workload
-     * jobs (0 = none); same semantics as jobMaxTicks. Host time is
-     * nondeterministic — prefer jobMaxTicks when reproducibility of
-     * the failure point matters.
-     */
-    double jobMaxHostSeconds = 0;
-};
-
-/** Structured results of a sweep, in job-graph order. */
+/** Structured results of a sweep, in job-list order. */
 class SweepResult
 {
   public:
@@ -268,12 +218,19 @@ class SweepResult
     int nWorkers = 1;
 };
 
-/** Expand @p spec and execute the job graph on the worker pool. */
-SweepResult runSweep(const SweepSpec &spec, const SweepOptions &opts = {});
+/**
+ * Expand @p spec and run its jobs on @p jobs workers (0 = resolve
+ * with sweepWorkerCount()).
+ */
+SweepResult runSweep(const SweepSpec &spec, int jobs = 0);
 
-/** Execute an already-expanded job graph (id/dep validation applies). */
-SweepResult runJobs(std::string name, std::vector<SweepJob> jobs,
-                    const SweepOptions &opts = {});
+/**
+ * Run an already-expanded job list on @p jobs workers (0 = resolve
+ * with sweepWorkerCount()). Each job's captured warn()/inform() text
+ * is re-emitted to stderr, prefixed with its id, once the job ends.
+ */
+SweepResult runJobs(std::string name, std::vector<SweepJob> list,
+                    int jobs = 0);
 
 /**
  * Resolved worker count for @p requested (0 = CMPMEM_JOBS, then the

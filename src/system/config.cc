@@ -25,6 +25,10 @@ SystemConfig::validate() const
     if (hwPrefetch && model == MemModel::STR)
         throwSimError(SimErrorKind::Config,
                       "hardware prefetching applies to the cache-based model");
+    if (hwPrefetch && (prefetchDepth < 1 || prefetchDepth > 64))
+        throwSimError(SimErrorKind::Config,
+                      "prefetch depth %u out of range [1, 64]",
+                      unsigned(prefetchDepth));
     if (pfsEnabled && model == MemModel::STR)
         throwSimError(SimErrorKind::Config,
                       "PFS stores apply to the cache-based model");

@@ -63,7 +63,7 @@ struct SystemConfig
 
     /** Hardware prefetcher (CC model; off unless stated). */
     bool hwPrefetch = false;
-    std::uint32_t prefetchDepth = 4;
+    std::uint32_t prefetchDepth = 4; ///< lines ahead, [1, 64] when on
 
     /** Honour non-allocating stores (PrepareForStore). */
     bool pfsEnabled = false;

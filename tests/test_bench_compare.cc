@@ -131,17 +131,13 @@ makeArtifact()
     };
     std::vector<SweepJob> jobs;
     jobs.emplace_back("alpha", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{},
                       fixed(1000, 5000));
     jobs.emplace_back("beta", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{},
                       fixed(2000, 9000));
-    SweepOptions opts;
-    opts.jobs = 1;
     return JsonValue::parse(
-        runJobs("gate_test", std::move(jobs), opts).toJson());
+        runJobs("gate_test", std::move(jobs), 1).toJson());
 }
 
 JsonValue &

@@ -124,6 +124,22 @@ TEST(Config, ValidateRejectsNonsense)
         EXPECT_NE(std::string(e.what()).find("core count"),
                   std::string::npos);
     }
+
+    // The stream prefetcher queues every line up to depth ahead, so
+    // an unbounded depth would allocate without limit.
+    for (std::uint32_t depth : {0u, 65u}) {
+        SystemConfig pf = makeConfig(1, MemModel::CC);
+        pf.hwPrefetch = true;
+        pf.prefetchDepth = depth;
+        try {
+            pf.validate();
+            FAIL() << "validate() accepted prefetch depth " << depth;
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimErrorKind::Config);
+            EXPECT_NE(std::string(e.what()).find("prefetch depth"),
+                      std::string::npos);
+        }
+    }
 }
 
 /**
@@ -233,6 +249,17 @@ TEST(BenchEnv, MalformedValuesAreFatal)
             << "'" << bad << "'";
     }
     EXPECT_EXIT(readEnvAs("CMPMEM_SCALE", "3000000000", scale),
+                testing::ExitedWithCode(1), "CMPMEM_SCALE");
+
+    // parseBenchArgs() reads the environment up front, so a bench
+    // fails before it prints its banner.
+    const auto args = [] {
+        std::string prog = "bench";
+        char *argv[] = {prog.data(), nullptr};
+        parseBenchArgs(1, argv);
+        return 0;
+    };
+    EXPECT_EXIT(readEnvAs("CMPMEM_SCALE", "x", args),
                 testing::ExitedWithCode(1), "CMPMEM_SCALE");
 }
 

@@ -317,18 +317,14 @@ TEST(SweepFaults, HungJobIsIsolatedAndReportedStructured)
     WorkloadParams p;
     p.scale = 0;
     SystemConfig cfg = makeConfig(2, MemModel::CC);
+    cfg.watchdog.maxTicks = 1'000'000'000; // 1 ms simulated per job
 
     std::vector<SweepJob> jobs;
     jobs.emplace_back("ok-before", "fir", cfg, p);
     jobs.emplace_back("hung", "hang", cfg, p);
     jobs.emplace_back("ok-after", "merge", cfg, p);
 
-    SweepOptions opts;
-    opts.jobs = 2;
-    opts.echoLogs = false;
-    opts.jobMaxTicks = 1'000'000'000; // 1 ms simulated per job
-
-    SweepResult res = runJobs("fault-isolation", jobs, opts);
+    SweepResult res = runJobs("fault-isolation", jobs, 2);
 
     EXPECT_TRUE(res.at("ok-before").ran);
     EXPECT_TRUE(res.at("ok-before").run.verified);
@@ -349,41 +345,15 @@ TEST(SweepFaults, HungJobIsIsolatedAndReportedStructured)
     EXPECT_TRUE(contains(json, "\"diagnostic\""));
 }
 
-TEST(SweepFaults, JobBudgetDoesNotOverrideExplicitWatchdog)
-{
-    // A job that sets its own (tighter) budget keeps it.
-    WorkloadParams p;
-    p.scale = 0;
-    SystemConfig cfg = makeConfig(2, MemModel::CC);
-    cfg.watchdog.maxTicks = 1'000'000; // 1 us: trips immediately
-
-    std::vector<SweepJob> jobs;
-    jobs.emplace_back("tight", "hang", cfg, p);
-
-    SweepOptions opts;
-    opts.jobs = 1;
-    opts.echoLogs = false;
-    opts.jobMaxTicks = maxTick; // generous default must not win
-
-    SweepResult res = runJobs("budget-precedence", jobs, opts);
-    const JobResult &jr = res.at("tight");
-    EXPECT_FALSE(jr.ran);
-    EXPECT_EQ(jr.errorKind, "watchdog");
-}
-
 TEST(SweepFaults, PlainExceptionsKeepGenericKind)
 {
     std::vector<SweepJob> jobs;
     jobs.emplace_back("thrower", "", SystemConfig{}, WorkloadParams{},
-                      std::vector<std::string>{},
                       std::map<std::string, std::string>{},
                       []() -> RunResult {
                           throw std::runtime_error("injected");
                       });
-    SweepOptions opts;
-    opts.jobs = 1;
-    opts.echoLogs = false;
-    SweepResult res = runJobs("generic-error", jobs, opts);
+    SweepResult res = runJobs("generic-error", jobs, 1);
     const JobResult &jr = res.at("thrower");
     EXPECT_FALSE(jr.ran);
     EXPECT_EQ(jr.error, "injected");

@@ -1,8 +1,8 @@
 /**
  * @file
  * Sweep-engine tests: spec expansion (cross-product, axes, tags,
- * baselines), the job-graph executor (dependency ordering under the
- * pool, failure isolation, log capture), JSON artifact validity, and
+ * explicit points), the job-list executor (every job once, in list
+ * order, failure isolation, log capture), JSON artifact validity, and
  * the determinism contract — parallel and serial execution of the
  * same spec produce bit-identical stats digests and energy per point
  * (the SweepIntegration suite, labelled "long" in ctest).
@@ -179,17 +179,13 @@ class JsonChecker
     }
 };
 
-/** A custom-run job that records its scheduling order. */
+/** A custom-run job that may throw or report itself unverified. */
 SweepJob
-orderedJob(const std::string &id, std::atomic<int> &seq,
-           std::vector<std::string> deps, int *out,
-           bool fail = false, bool verified = true)
+customJob(const std::string &id, bool fail = false, bool verified = true)
 {
     SweepJob j;
     j.id = id;
-    j.deps = std::move(deps);
-    j.run = [&seq, out, fail, verified] {
-        *out = seq.fetch_add(1);
+    j.run = [fail, verified] {
         if (fail)
             throw std::runtime_error("injected failure");
         RunResult r;
@@ -225,24 +221,6 @@ TEST(SweepSpec, CrossProductExpansion)
     EXPECT_EQ(jobs[3].tags.at("workload"), "fir");
     EXPECT_EQ(jobs[3].tags.at("cores"), "4");
     EXPECT_EQ(jobs[3].tags.at("model"), "STR");
-    EXPECT_TRUE(jobs[3].deps.empty());
-}
-
-TEST(SweepSpec, BaselineMakesCrossJobsDependOnIt)
-{
-    SweepSpec spec("t");
-    spec.workloads({"fir"}).modelAxis();
-    spec.baseline({"fir/base", "fir", makeConfig(1, MemModel::CC),
-                   {}, {}, {}, {}});
-
-    auto jobs = spec.expand();
-    ASSERT_EQ(jobs.size(), 3u);
-    EXPECT_EQ(jobs[0].id, "fir/base");
-    EXPECT_TRUE(jobs[0].deps.empty());
-    for (std::size_t i = 1; i < jobs.size(); ++i) {
-        ASSERT_EQ(jobs[i].deps.size(), 1u);
-        EXPECT_EQ(jobs[i].deps[0], "fir/base");
-    }
 }
 
 TEST(SweepSpec, ExplicitPointsRideAlong)
@@ -260,38 +238,16 @@ TEST(SweepSpec, ExplicitPointsRideAlong)
 }
 
 // EXPECT_DEATH wrappers (commas in braced initializers confuse the
-// macro, so each bad graph is built in a helper).
+// macro, so each bad list is built in a helper).
 void
-graphWithDuplicateIds()
+listWithDuplicateIds()
 {
-    std::atomic<int> seq{0};
-    int o = 0;
-    std::vector<SweepJob> jobs = {orderedJob("a", seq, {}, &o),
-                                  orderedJob("a", seq, {}, &o)};
+    std::vector<SweepJob> jobs = {customJob("a"), customJob("a")};
     runJobs("t", std::move(jobs));
 }
 
 void
-graphWithUnknownDep()
-{
-    std::atomic<int> seq{0};
-    int o = 0;
-    std::vector<SweepJob> jobs = {orderedJob("a", seq, {"ghost"}, &o)};
-    runJobs("t", std::move(jobs));
-}
-
-void
-graphWithCycle()
-{
-    std::atomic<int> seq{0};
-    int a = 0, b = 0;
-    std::vector<SweepJob> jobs = {orderedJob("a", seq, {"b"}, &a),
-                                  orderedJob("b", seq, {"a"}, &b)};
-    runJobs("t", std::move(jobs));
-}
-
-void
-graphWithEmptyJob()
+listWithEmptyJob()
 {
     SweepJob j;
     j.id = "empty";
@@ -300,65 +256,53 @@ graphWithEmptyJob()
 
 TEST(SweepExecutorDeath, RejectsBadGraphs)
 {
-    EXPECT_DEATH(graphWithDuplicateIds(), "duplicate");
-    EXPECT_DEATH(graphWithUnknownDep(), "unknown");
-    EXPECT_DEATH(graphWithCycle(), "cycle");
-    EXPECT_DEATH(graphWithEmptyJob(), "neither");
+    EXPECT_DEATH(listWithDuplicateIds(), "duplicate");
+    EXPECT_DEATH(listWithEmptyJob(), "neither");
 }
 
-TEST(SweepExecutor, DependencyOrderingHoldsUnderPool)
+TEST(SweepExecutor, EveryJobRunsOnceInJobOrder)
 {
-    // One baseline, a fan of dependents, and a chain — run on
-    // several workers and check every constraint from the recorded
-    // global completion order.
-    std::atomic<int> seq{0};
-    int base = -1, chain1 = -1, chain2 = -1;
-    int fan[6] = {-1, -1, -1, -1, -1, -1};
-
+    // Workers claim jobs from one counter: each job runs exactly
+    // once, and results come back in list order, not completion
+    // order.
+    constexpr int kJobs = 64;
+    std::atomic<int> calls[kJobs] = {};
     std::vector<SweepJob> jobs;
-    jobs.push_back(orderedJob("chain1", seq, {"base"}, &chain1));
-    jobs.push_back(orderedJob("chain2", seq, {"chain1"}, &chain2));
-    for (int i = 0; i < 6; ++i) {
-        jobs.push_back(orderedJob(fmt("fan%d", i), seq, {"base"},
-                                  &fan[i]));
+    for (int i = 0; i < kJobs; ++i) {
+        SweepJob j;
+        j.id = fmt("job%d", i);
+        j.run = [&calls, i] {
+            calls[i].fetch_add(1);
+            RunResult r;
+            r.stats.execTicks = Tick(i);
+            return r;
+        };
+        jobs.push_back(std::move(j));
     }
-    jobs.push_back(orderedJob("base", seq, {}, &base));
 
-    SweepOptions opts;
-    opts.jobs = 4;
-    opts.echoLogs = false;
-    SweepResult res = runJobs("order", std::move(jobs), opts);
+    SweepResult res = runJobs("once", std::move(jobs), 4);
 
     EXPECT_TRUE(res.allRan());
-    EXPECT_EQ(base, 0) << "baseline must run before every dependent";
-    for (int i = 0; i < 6; ++i)
-        EXPECT_GT(fan[i], base);
-    EXPECT_GT(chain1, base);
-    EXPECT_GT(chain2, chain1);
-
-    // Results come back in job-graph order, not completion order.
-    EXPECT_EQ(res.jobs()[0].job.id, "chain1");
-    EXPECT_EQ(res.jobs().back().job.id, "base");
+    EXPECT_EQ(res.workers(), 4);
+    ASSERT_EQ(res.jobs().size(), std::size_t(kJobs));
+    for (int i = 0; i < kJobs; ++i) {
+        EXPECT_EQ(calls[i].load(), 1) << i;
+        EXPECT_EQ(res.jobs()[i].job.id, fmt("job%d", i));
+        EXPECT_EQ(res.jobs()[i].run.stats.execTicks, Tick(i));
+    }
 }
 
 TEST(SweepExecutor, FailingJobDoesNotPoisonSiblings)
 {
-    std::atomic<int> seq{0};
-    int a = -1, b = -1, c = -1, d = -1;
     std::vector<SweepJob> jobs = {
-        orderedJob("ok1", seq, {}, &a),
-        orderedJob("throws", seq, {}, &b, /*fail=*/true),
-        orderedJob("unverified", seq, {}, &c, false,
-                   /*verified=*/false),
-        // A dependent of the failing job still executes (deps are
-        // ordering constraints, not success gates).
-        orderedJob("after-throws", seq, {"throws"}, &d),
+        customJob("ok1"),
+        customJob("throws", /*fail=*/true),
+        customJob("unverified", false, /*verified=*/false),
+        // A job listed after the failing one still runs.
+        customJob("after-throws"),
     };
 
-    SweepOptions opts;
-    opts.jobs = 2;
-    opts.echoLogs = false;
-    SweepResult res = runJobs("fail", std::move(jobs), opts);
+    SweepResult res = runJobs("fail", std::move(jobs), 2);
 
     EXPECT_TRUE(res.at("ok1").ran);
     EXPECT_TRUE(res.at("ok1").run.verified);
@@ -368,7 +312,6 @@ TEST(SweepExecutor, FailingJobDoesNotPoisonSiblings)
     EXPECT_TRUE(res.at("unverified").ran);
     EXPECT_FALSE(res.at("unverified").run.verified);
     EXPECT_TRUE(res.at("after-throws").ran);
-    EXPECT_GT(d, b);
 
     EXPECT_FALSE(res.allRan());
     EXPECT_FALSE(res.allVerified());
@@ -384,10 +327,7 @@ TEST(SweepExecutor, CapturesWarningsPerJob)
         inform("status %s", "line");
         return RunResult{};
     };
-    SweepOptions opts;
-    opts.jobs = 1;
-    opts.echoLogs = false;
-    SweepResult res = runJobs("logs", {j}, opts);
+    SweepResult res = runJobs("logs", {j}, 1);
     const std::string &log = res.at("warns").log;
     EXPECT_NE(log.find("warn: from inside job 7"), std::string::npos);
     EXPECT_NE(log.find("info: status line"), std::string::npos);
@@ -403,10 +343,7 @@ TEST(SweepExecutor, FailingJobKeepsItsLog)
         warn("before the lights go out");
         throwSimError(SimErrorKind::Model, "lights out");
     };
-    SweepOptions opts;
-    opts.jobs = 1;
-    opts.echoLogs = false;
-    SweepResult res = runJobs("doom", {j}, opts);
+    SweepResult res = runJobs("doom", {j}, 1);
     const JobResult &jr = res.at("doomed");
     EXPECT_FALSE(jr.ran);
     EXPECT_EQ(jr.errorKind, "model");
@@ -425,9 +362,7 @@ TEST(SweepExecutor, QuietFlagSuppressesCapture)
         warn("should be dropped");
         return RunResult{};
     };
-    SweepOptions opts;
-    opts.jobs = 1;
-    SweepResult res = runJobs("quiet", {j}, opts);
+    SweepResult res = runJobs("quiet", {j}, 1);
     setQuiet(false);
     EXPECT_TRUE(res.at("quiet").log.empty());
     EXPECT_FALSE(isQuiet());
@@ -449,7 +384,7 @@ TEST(LogCapture, NestsAndRestores)
     EXPECT_EQ(outer.text().find("inner"), std::string::npos);
 }
 
-TEST(SweepOptionsEnv, WorkerCountResolution)
+TEST(SweepWorkersEnv, WorkerCountResolution)
 {
     EXPECT_EQ(sweepWorkerCount(3), 3);
 
@@ -469,9 +404,7 @@ TEST(SweepJson, ArtifactIsValidAndCarriesTheSchema)
         .baseParams(tiny)
         .workloads({"fir"})
         .modelAxis();
-    SweepOptions opts;
-    opts.jobs = 2;
-    SweepResult res = runSweep(spec, opts);
+    SweepResult res = runSweep(spec, 2);
 
     std::string json = res.toJson();
     EXPECT_TRUE(JsonChecker(json).valid()) << json;
@@ -496,12 +429,10 @@ TEST(SweepJson, EscapesAndEmptySweep)
     SweepJob j;
     j.id = "we\"ird\\id\n";
     j.run = [] { return RunResult{}; };
-    SweepOptions opts;
-    opts.echoLogs = false;
-    SweepResult res = runJobs("esc", {j}, opts);
+    SweepResult res = runJobs("esc", {j});
     EXPECT_TRUE(JsonChecker(res.toJson()).valid()) << res.toJson();
 
-    SweepResult empty = runJobs("empty", {}, opts);
+    SweepResult empty = runJobs("empty", {});
     EXPECT_TRUE(JsonChecker(empty.toJson()).valid());
     EXPECT_EQ(empty.jobs().size(), 0u);
 }
@@ -527,11 +458,8 @@ TEST(SweepJson, ResourceStreamStatsOnlyForAcquiringRuns)
         };
         return j;
     };
-    SweepOptions opts;
-    opts.jobs = 1;
-    opts.echoLogs = false;
     SweepResult res =
-        runJobs("fabric", {job("none", 0), job("some", 200000)}, opts);
+        runJobs("fabric", {job("none", 0), job("some", 200000)}, 1);
     JsonValue doc = JsonValue::parse(res.toJson());
     const auto &results = doc.at("results").items();
     ASSERT_EQ(results.size(), 2u);
@@ -547,7 +475,7 @@ TEST(SweepJson, ResourceStreamStatsOnlyForAcquiringRuns)
 /**
  * The determinism contract (labelled "long" in ctest): for a fixed
  * spec, per-point simulated state is bit-identical no matter how
- * many workers execute the graph. Uses real workloads across both
+ * many workers run the job list. Uses real workloads across both
  * models and several configurations.
  */
 TEST(SweepIntegration, ParallelMatchesSerialBitIdentical)
@@ -569,15 +497,8 @@ TEST(SweepIntegration, ParallelMatchesSerialBitIdentical)
         return spec;
     };
 
-    SweepOptions serial;
-    serial.jobs = 1;
-    serial.echoLogs = false;
-    SweepOptions parallel;
-    parallel.jobs = 4;
-    parallel.echoLogs = false;
-
-    SweepResult a = runSweep(makeSpec(), serial);
-    SweepResult b = runSweep(makeSpec(), parallel);
+    SweepResult a = runSweep(makeSpec(), 1);
+    SweepResult b = runSweep(makeSpec(), 4);
 
     ASSERT_EQ(a.jobs().size(), b.jobs().size());
     ASSERT_EQ(a.jobs().size(), 3u * 3u * 2u);
